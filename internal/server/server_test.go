@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/detect"
 	"repro/internal/obs"
@@ -110,6 +111,46 @@ func TestServerManyClients(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestServerAnswersWithoutHalfClose: a client that streams a complete
+// trace and then waits for the report, without half-closing, must get it.
+// The header's event count marks the end of the stream, so a decoder that
+// waits for bytes past the last event hangs here; the deadline turns that
+// into a prompt failure rather than a suite timeout.
+func TestServerAnswersWithoutHalfClose(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Shards: 2, NoShed: true})
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	tr := recordTrace(t, "raytrace", 7)
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Write(buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	var resp Response
+	if err := json.NewDecoder(c).Decode(&resp); err != nil {
+		t.Fatalf("no report within 5 s of a complete %d-byte trace sent without a half-close "+
+			"(is the decoder waiting for bytes past the last event?): %v", buf.Len(), err)
+	}
+	if resp.Error != "" || resp.Events != uint64(tr.Len()) {
+		t.Fatalf("report: error %q, %d events; want no error, %d events", resp.Error, resp.Events, tr.Len())
 	}
 }
 

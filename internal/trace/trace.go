@@ -34,16 +34,18 @@ const (
 
 // Event is one recorded runtime event. For KAccess, Addr/Write/Site are
 // meaningful; for KAcquire/KRelease, Sync and SyncKind; for KFork/KJoin,
-// Other is the child thread.
+// Other is the child thread. Fields run widest first so an Event packs
+// into 32 bytes rather than 40 (TestEventLayout): a decoded trace is
+// millions of them.
 type Event struct {
-	Kind     Kind
+	Addr     memmodel.Addr
 	TID      int32
-	Write    bool
-	SyncKind sim.SyncKind
+	Other    int32
 	Site     shadow.SiteID
 	Sync     detect.SyncID
-	Addr     memmodel.Addr
-	Other    int32
+	Kind     Kind
+	Write    bool
+	SyncKind sim.SyncKind
 }
 
 // Event storage is chunked: long recordings append into fixed-size chunks
@@ -52,7 +54,7 @@ type Event struct {
 // already-recorded events. TestAppendAllocationBounded pins the per-event
 // allocation cost.
 const (
-	chunkShift = 14 // 16384 events (~512 KiB) per chunk
+	chunkShift = 14 // 16384 events (512 KiB) per chunk
 	chunkSize  = 1 << chunkShift
 	chunkMask  = chunkSize - 1
 )
@@ -74,12 +76,18 @@ func FromEvents(name string, evs ...Event) *Trace {
 
 // Append adds one event at the end of the trace.
 func (t *Trace) Append(e Event) {
+	c := t.tail()
+	*c = append(*c, e)
+}
+
+// tail returns the last chunk, first starting a new one if it is full.
+func (t *Trace) tail() *[]Event {
 	n := len(t.chunks)
 	if n == 0 || len(t.chunks[n-1]) == chunkSize {
 		t.chunks = append(t.chunks, make([]Event, 0, chunkSize))
 		n++
 	}
-	t.chunks[n-1] = append(t.chunks[n-1], e)
+	return &t.chunks[n-1]
 }
 
 // Len returns the number of recorded events.

@@ -16,13 +16,18 @@ import (
 	"repro/internal/workload"
 )
 
-func record(t *testing.T, name string, seed uint64) *Trace {
+func record(t testing.TB, name string, seed uint64) *Trace {
+	t.Helper()
+	return recordScale(t, name, 1, seed)
+}
+
+func recordScale(t testing.TB, name string, scale int, seed uint64) *Trace {
 	t.Helper()
 	w, err := workload.ByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	built := w.Build(4, 1)
+	built := w.Build(4, scale)
 	rec := NewRecorder(name)
 	cfg := sim.DefaultConfig()
 	cfg.Seed = seed

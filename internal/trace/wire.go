@@ -3,6 +3,7 @@ package trace
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
@@ -132,22 +133,29 @@ func (t *Trace) writeEventsV1(w io.Writer) error {
 }
 
 // deltaState is the per-thread prediction context both v2 coder sides keep
-// in lockstep: the thread's previous access address and site.
-type deltaState struct {
-	lastAddr []uint64
-	lastSite []uint32
+// in lockstep: each thread's previous access address and site. The table
+// grows geometrically, so a stream that keeps introducing higher tids costs
+// amortized O(1) per new thread rather than a full copy per thread; its
+// length is a capacity, never a thread count.
+type deltaState struct{ last []lastAccess }
+
+type lastAccess struct {
+	addr uint64
+	site uint32
 }
 
-func (ds *deltaState) at(tid int32) (addr *uint64, site *uint32) {
-	if int(tid) >= len(ds.lastAddr) {
-		na := make([]uint64, int(tid)+1)
-		copy(na, ds.lastAddr)
-		ds.lastAddr = na
-		ns := make([]uint32, int(tid)+1)
-		copy(ns, ds.lastSite)
-		ds.lastSite = ns
+// at returns tid's slot; callers have checked 0 <= tid <= maxTID.
+func (ds *deltaState) at(tid int32) *lastAccess {
+	if int(tid) >= len(ds.last) {
+		ds.grow(int(tid))
 	}
-	return &ds.lastAddr[tid], &ds.lastSite[tid]
+	return &ds.last[tid]
+}
+
+func (ds *deltaState) grow(tid int) {
+	last := make([]lastAccess, min(max(2*len(ds.last), tid+1, 16), maxTID+1))
+	copy(last, ds.last)
+	ds.last = last
 }
 
 func zigzag(d int64) uint64   { return uint64(d<<1) ^ uint64(d>>63) }
@@ -179,15 +187,15 @@ func (t *Trace) writeEventsV2(w io.Writer) error {
 		n += binary.PutUvarint(buf[n:], uint64(e.TID))
 		switch e.Kind {
 		case KAccess:
-			la, ls := ds.at(e.TID)
-			n += binary.PutUvarint(buf[n:], zigzag(int64(uint64(e.Addr))-int64(*la)))
-			n += binary.PutUvarint(buf[n:], zigzag(int64(uint32(e.Site))-int64(*ls)))
-			*la, *ls = uint64(e.Addr), uint32(e.Site)
+			la := ds.at(e.TID)
+			n += binary.PutUvarint(buf[n:], zigzag(int64(uint64(e.Addr))-int64(la.addr)))
+			n += binary.PutUvarint(buf[n:], zigzag(int64(uint32(e.Site))-int64(la.site)))
+			la.addr, la.site = uint64(e.Addr), uint32(e.Site)
 		case KAcquire, KRelease:
 			n += binary.PutUvarint(buf[n:], uint64(e.Sync))
 		case KFork, KJoin:
-			if e.Other < 0 {
-				werr = fmt.Errorf("trace: negative thread id %d in fork/join", e.Other)
+			if e.Other < 0 || e.Other > maxTID {
+				werr = fmt.Errorf("trace: fork/join thread id %d out of v2 range", e.Other)
 				return
 			}
 			n += binary.PutUvarint(buf[n:], uint64(e.Other))
@@ -274,7 +282,8 @@ func (sr *StreamReader) Version() int { return sr.version }
 func (sr *StreamReader) Total() uint64 { return sr.total }
 
 // Offset returns the byte offset of the next undecoded byte — on a decode
-// error, where in the stream the malformation sits.
+// error, where in the stream the malformation sits (for v2, the first byte
+// of the event that failed).
 func (sr *StreamReader) Offset() int64 { return sr.cr.n - int64(sr.br.Buffered()) }
 
 // Next returns the next event, or io.EOF once the declared count has been
@@ -284,20 +293,66 @@ func (sr *StreamReader) Next() (Event, error) {
 	if sr.remaining == 0 {
 		return Event{}, io.EOF
 	}
-	start := sr.Offset()
-	var e Event
-	var err error
+	var e [1]Event
+	if _, err := sr.read(e[:]); err != nil {
+		return Event{}, err
+	}
+	return e[0], nil
+}
+
+// read decodes the next min(len(dst), remaining) events into dst and
+// returns how many it delivered. v2 events are decoded in place, straight
+// from the buffered window; only an event the window cuts short goes
+// through gatherV2.
+func (sr *StreamReader) read(dst []Event) (int, error) {
+	if uint64(len(dst)) > sr.remaining {
+		dst = dst[:sr.remaining]
+	}
 	if sr.version == version1 {
-		e, err = sr.nextV1()
-	} else {
-		e, err = sr.nextV2()
+		for i := range dst {
+			start := sr.Offset()
+			e, err := sr.nextV1()
+			if err != nil {
+				return i, sr.fail(start, err)
+			}
+			dst[i] = e
+			sr.remaining--
+		}
+		return len(dst), nil
 	}
-	if err != nil {
-		return Event{}, fmt.Errorf("trace: wire v%d: event %d at offset %d: %w",
-			sr.version, sr.total-sr.remaining, start, err)
+	n := 0
+	for n < len(dst) {
+		p, _ := sr.br.Peek(sr.br.Buffered())
+		off, first := 0, n
+		var err error
+		for n < len(dst) {
+			var m int
+			if m, err = decodeV2(p[off:], &sr.ds, &dst[n]); err != nil {
+				break
+			}
+			off += m
+			n++
+		}
+		sr.br.Discard(off)
+		sr.remaining -= uint64(n - first)
+		if err == errShort {
+			if err = sr.gatherV2(len(p)-off, &dst[n]); err == nil {
+				n++
+				sr.remaining--
+			}
+		}
+		if err != nil {
+			return n, sr.fail(sr.Offset(), err)
+		}
 	}
-	sr.remaining--
-	return e, nil
+	return n, nil
+}
+
+// fail wraps a decode error of the next undelivered event, which starts at
+// byte offset start.
+func (sr *StreamReader) fail(start int64, err error) error {
+	return fmt.Errorf("trace: wire v%d: event %d at offset %d: %w",
+		sr.version, sr.total-sr.remaining, start, err)
 }
 
 func (sr *StreamReader) nextV1() (Event, error) {
@@ -326,68 +381,126 @@ func (sr *StreamReader) nextV1() (Event, error) {
 	}, nil
 }
 
-func (sr *StreamReader) nextV2() (Event, error) {
-	b0, err := sr.br.ReadByte()
-	if err != nil {
-		return Event{}, fmt.Errorf("truncated record: %w", noEOF(err))
+// gatherV2 decodes the event the buffered window cuts short after have
+// bytes. It grows the window one byte at a time and retries, so it never
+// waits for a byte past the event's own: a client that streams a whole
+// trace and then waits for its report, without half-closing, must get the
+// report. The event's bytes are consumed only on success.
+func (sr *StreamReader) gatherV2(have int, e *Event) error {
+	for ; ; have++ {
+		p, err := sr.br.Peek(have + 1)
+		if err != nil {
+			if have == 0 {
+				return fmt.Errorf("truncated record: %w", noEOF(err))
+			}
+			return fmt.Errorf("truncated varint: %w", noEOF(err))
+		}
+		n, err := decodeV2(p, &sr.ds, e)
+		if err != errShort {
+			if err == nil {
+				sr.br.Discard(n)
+			}
+			return err
+		}
 	}
+}
+
+// maxEventV2 is the longest v2 event: the flags byte and three varints.
+// decodeV2 never reports errShort on a window at least this long, so
+// gatherV2 runs only while fewer bytes than this are buffered.
+const maxEventV2 = 1 + 3*binary.MaxVarintLen64
+
+var (
+	// errShort reports that the window ends inside the event.
+	errShort          = errors.New("event runs past the buffered bytes")
+	errVarintOverflow = errors.New("varint overflows 64 bits")
+)
+
+// decodeV2 decodes the v2 event at the start of p into *e and returns its
+// length. It returns errShort when p ends inside the event; any other error
+// is a malformation no further bytes can mend, reported as soon as the
+// bytes before it settle it. *e and ds change only on success, so a short
+// decode can be retried on a longer window and every way of cutting a
+// stream into reads decodes it alike.
+func decodeV2(p []byte, ds *deltaState, e *Event) (int, error) {
+	if len(p) == 0 {
+		return 0, errShort
+	}
+	b0 := p[0]
 	kind := Kind(b0 & 7)
 	if kind >= kindCount {
-		return Event{}, fmt.Errorf("invalid event kind %d", kind)
+		return 0, fmt.Errorf("invalid event kind %d", kind)
 	}
-	e := Event{
+	if b0 >= 0x80 {
+		// Sync kinds are 3 bits wide on the wire, as in v1.
+		return 0, fmt.Errorf("invalid sync kind %d", b0>>4)
+	}
+	tid, n, err := uvarint(p[1:])
+	if err != nil {
+		return 0, err
+	}
+	if tid > maxTID {
+		return 0, fmt.Errorf("implausible tid %d", tid)
+	}
+	n++
+	ev := Event{
+		TID:      int32(tid),
 		Kind:     kind,
 		Write:    b0&(1<<3) != 0,
 		SyncKind: sim.SyncKind(b0 >> 4),
 	}
-	tid, err := sr.uvarint()
-	if err != nil {
-		return Event{}, err
-	}
-	if tid > maxTID {
-		return Event{}, fmt.Errorf("implausible tid %d", tid)
-	}
-	e.TID = int32(tid)
 	switch kind {
 	case KAccess:
-		da, err := sr.uvarint()
+		da, m, err := uvarint(p[n:])
 		if err != nil {
-			return Event{}, err
+			return 0, err
 		}
-		dsite, err := sr.uvarint()
+		n += m
+		dsite, m, err := uvarint(p[n:])
 		if err != nil {
-			return Event{}, err
+			return 0, err
 		}
-		la, ls := sr.ds.at(e.TID)
-		*la = uint64(int64(*la) + unzigzag(da))
-		*ls = uint32(int64(*ls) + unzigzag(dsite))
-		e.Addr = memmodel.Addr(*la)
-		e.Site = shadow.SiteID(*ls)
+		n += m
+		la := ds.at(ev.TID)
+		la.addr = uint64(int64(la.addr) + unzigzag(da))
+		la.site = uint32(int64(la.site) + unzigzag(dsite))
+		ev.Addr, ev.Site = memmodel.Addr(la.addr), shadow.SiteID(la.site)
 	case KAcquire, KRelease:
-		s, err := sr.uvarint()
+		s, m, err := uvarint(p[n:])
 		if err != nil {
-			return Event{}, err
+			return 0, err
 		}
-		e.Sync = detect.SyncID(s)
-	case KFork, KJoin:
-		o, err := sr.uvarint()
+		n += m
+		ev.Sync = detect.SyncID(s)
+	default: // KFork, KJoin
+		o, m, err := uvarint(p[n:])
 		if err != nil {
-			return Event{}, err
+			return 0, err
 		}
 		if o > maxTID {
-			return Event{}, fmt.Errorf("implausible thread id %d", o)
+			return 0, fmt.Errorf("implausible thread id %d", o)
 		}
-		e.Other = int32(o)
+		n += m
+		ev.Other = int32(o)
 	}
-	return e, nil
+	*e = ev
+	return n, nil
 }
 
-func (sr *StreamReader) uvarint() (uint64, error) {
-	v, err := binary.ReadUvarint(sr.br)
-	if err != nil {
-		return 0, fmt.Errorf("truncated varint: %w", noEOF(err))
+// uvarint decodes the varint at the start of p, returning errShort when p
+// ends inside it.
+func uvarint(p []byte) (uint64, int, error) {
+	if len(p) > 0 && p[0] < 0x80 {
+		return uint64(p[0]), 1, nil
 	}
-	return v, nil
+	v, n := binary.Uvarint(p)
+	switch {
+	case n > 0:
+		return v, n, nil
+	case n < 0 || len(p) >= binary.MaxVarintLen64:
+		return 0, 0, errVarintOverflow
+	}
+	return 0, 0, errShort
 }
 
 // noEOF converts a bare io.EOF inside a record into ErrUnexpectedEOF: the
@@ -400,22 +513,26 @@ func noEOF(err error) error {
 	return err
 }
 
-// ReadFrom deserializes a trace written by WriteTo or WriteToV1.
+// ReadFrom deserializes a trace written by WriteTo or WriteToV1. Events are
+// decoded in batches straight into the free tail of the trace's last chunk.
 func ReadFrom(r io.Reader) (*Trace, error) {
 	sr, err := NewStreamReader(r)
 	if err != nil {
 		return nil, err
 	}
 	t := &Trace{Name: sr.Name()}
-	for {
-		e, err := sr.Next()
-		if err == io.EOF {
-			return t, nil
-		}
+	if sr.total < chunkSize {
+		// A short trace gets a chunk of its own size, not a full one.
+		t.chunks = [][]Event{make([]Event, 0, sr.total)}
+	}
+	for sr.remaining > 0 {
+		c := t.tail()
+		n, err := sr.read((*c)[len(*c):cap(*c)])
+		*c = (*c)[:len(*c)+n]
 		if err != nil {
-			// Next already names the wire version, event index, and offset.
+			// read already names the wire version, event index, and offset.
 			return nil, err
 		}
-		t.Append(e)
 	}
+	return t, nil
 }
