@@ -40,10 +40,18 @@ func AddFlags() *Common {
 	return c
 }
 
-// Validate rejects flag values the commands must not silently default: an
-// unknown -backend is a one-line error naming the valid set. Call after
-// flag.Parse.
+// Validate rejects flag values the commands must not silently default or
+// crash on: a non-positive -threads or -scale, a negative -jobs, and an
+// unknown -backend are each a one-line error. Call after flag.Parse.
 func (c *Common) Validate() error {
+	switch {
+	case c.Threads < 1:
+		return fmt.Errorf("-threads must be at least 1, got %d", c.Threads)
+	case c.Scale < 1:
+		return fmt.Errorf("-scale must be at least 1, got %d", c.Scale)
+	case c.Jobs < 0:
+		return fmt.Errorf("-jobs must be 0 (GOMAXPROCS) or positive, got %d", c.Jobs)
+	}
 	if !htm.ValidBackend(c.Backend) {
 		return fmt.Errorf("unknown -backend %q (valid: %s)", c.Backend, strings.Join(htm.BackendNames(), ", "))
 	}

@@ -24,7 +24,7 @@ func TestValidateBackend(t *testing.T) {
 		{"DIR", false},
 		{"dir,tag", false},
 	} {
-		c := &Common{Backend: tc.backend}
+		c := &Common{Threads: 4, Scale: 1, Backend: tc.backend}
 		err := c.Validate()
 		if tc.ok {
 			if err != nil {
@@ -57,5 +57,40 @@ func TestExperimentConfigCarriesBackend(t *testing.T) {
 	c := &Common{Threads: 4, Scale: 1, Seed: 1, Backend: "bounded"}
 	if got := c.ExperimentConfig().Backend; got != "bounded" {
 		t.Fatalf("ExperimentConfig().Backend = %q, want %q", got, "bounded")
+	}
+}
+
+// TestValidateCounts pins the -threads/-scale/-jobs contract: values the
+// workload builders and the experiment runner cannot honour are a one-line
+// error naming the flag and the rejected value, never a panic or a
+// degenerate run.
+func TestValidateCounts(t *testing.T) {
+	for _, tc := range []struct {
+		threads, scale, jobs int
+		flag                 string
+	}{
+		{4, 1, 0, ""},
+		{1, 1, 8, ""},
+		{0, 1, 0, "-threads"},
+		{-2, 1, 0, "-threads"},
+		{4, 0, 0, "-scale"},
+		{4, -3, 0, "-scale"},
+		{4, 1, -1, "-jobs"},
+	} {
+		c := &Common{Threads: tc.threads, Scale: tc.scale, Jobs: tc.jobs, Backend: "dir"}
+		err := c.Validate()
+		if tc.flag == "" {
+			if err != nil {
+				t.Errorf("Validate(%+v) = %v, want nil", *c, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("Validate(%+v) = nil, want a %s error", *c, tc.flag)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, tc.flag) || strings.Contains(msg, "\n") {
+			t.Errorf("Validate(%+v) error %q: want one line naming %s", *c, msg, tc.flag)
+		}
 	}
 }

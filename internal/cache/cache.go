@@ -10,16 +10,24 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/memmodel"
 )
 
 // Cache is a set-associative cache of cache-line tags with per-set LRU
 // replacement. It tracks presence only; there are no data payloads.
+//
+// All state lives in one backing array, slab: first the occupancy bitmap
+// (one bit per set, set while the set holds any line), then one slot of
+// 1+ways words per set — the set's line count followed by its tags ordered
+// MRU-first. The bitmap lets Reset, which the HTM runs at every transaction
+// begin, commit and abort, visit only the sets a transaction touched.
 type Cache struct {
 	sets    int
 	ways    int
-	lines   [][]memmodel.Line // lines[set] ordered MRU-first, len <= ways
+	occ     int // bitmap words at the front of slab
+	slab    []memmodel.Line
 	count   int
 	onEvict func(memmodel.Line)
 }
@@ -32,11 +40,15 @@ func New(sets, ways int) *Cache {
 	if ways <= 0 {
 		panic(fmt.Sprintf("cache: ways %d must be positive", ways))
 	}
-	c := &Cache{sets: sets, ways: ways, lines: make([][]memmodel.Line, sets)}
-	for i := range c.lines {
-		c.lines[i] = make([]memmodel.Line, 0, ways)
-	}
-	return c
+	occ := (sets + 63) / 64
+	return &Cache{sets: sets, ways: ways, occ: occ,
+		slab: make([]memmodel.Line, occ+sets*(1+ways))}
+}
+
+// set returns set s's slot index in slab (its count word) and its lines.
+func (c *Cache) set(s int) (base int, lines []memmodel.Line) {
+	base = c.occ + s*(1+c.ways)
+	return base, c.slab[base+1 : base+1+int(c.slab[base])]
 }
 
 // SetOnEvict registers fn to be called once for every line leaving the
@@ -63,7 +75,8 @@ func (c *Cache) setOf(l memmodel.Line) int { return int(uint64(l) & uint64(c.set
 
 // Contains reports whether line l is resident. It does not update LRU order.
 func (c *Cache) Contains(l memmodel.Line) bool {
-	for _, x := range c.lines[c.setOf(l)] {
+	_, set := c.set(c.setOf(l))
+	for _, x := range set {
 		if x == l {
 			return true
 		}
@@ -77,7 +90,7 @@ func (c *Cache) Contains(l memmodel.Line) bool {
 // the tracking structure means the transaction can no longer be validated.
 func (c *Cache) Touch(l memmodel.Line) (evicted memmodel.Line, ok bool) {
 	s := c.setOf(l)
-	set := c.lines[s]
+	base, set := c.set(s)
 	if len(set) > 0 && set[0] == l {
 		// Already MRU — the common case for looping access patterns.
 		return 0, false
@@ -95,12 +108,15 @@ func (c *Cache) Touch(l memmodel.Line) (evicted memmodel.Line, ok bool) {
 		}
 	}
 	if len(set) < c.ways {
-		set = append(set, 0)
+		if len(set) == 0 {
+			c.slab[s/64] |= 1 << (s % 64)
+		}
+		set = c.slab[base+1 : base+2+len(set)]
 		for i := len(set) - 1; i > 0; i-- {
 			set[i] = set[i-1]
 		}
 		set[0] = l
-		c.lines[s] = set
+		c.slab[base]++
 		c.count++
 		return 0, false
 	}
@@ -117,16 +133,21 @@ func (c *Cache) Touch(l memmodel.Line) (evicted memmodel.Line, ok bool) {
 
 // Reset empties the cache. The HTM resets its tracking structures at every
 // transaction begin, commit and abort. The eviction callback (if any) fires
-// for each line that was resident, MRU-first within each set, so hooked
-// bookkeeping sees every departure.
+// for each line that was resident, in ascending set order and MRU-first
+// within each set, so hooked bookkeeping sees every departure. Only the
+// occupied sets are visited.
 func (c *Cache) Reset() {
-	for i := range c.lines {
-		if c.onEvict != nil {
-			for _, l := range c.lines[i] {
-				c.onEvict(l)
+	for w, word := range c.slab[:c.occ] {
+		for m := uint64(word); m != 0; m &= m - 1 {
+			base, set := c.set(w*64 + bits.TrailingZeros64(m))
+			if c.onEvict != nil {
+				for _, l := range set {
+					c.onEvict(l)
+				}
 			}
+			c.slab[base] = 0
 		}
-		c.lines[i] = c.lines[i][:0]
+		c.slab[w] = 0
 	}
 	c.count = 0
 }
@@ -136,7 +157,8 @@ func (c *Cache) Reset() {
 // conflicts from non-transactional code.
 func (c *Cache) Resident() []memmodel.Line {
 	out := make([]memmodel.Line, 0, c.count)
-	for _, set := range c.lines {
+	for s := 0; s < c.sets; s++ {
+		_, set := c.set(s)
 		out = append(out, set...)
 	}
 	return out

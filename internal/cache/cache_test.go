@@ -226,3 +226,69 @@ func TestGeometryAccessors(t *testing.T) {
 		t.Fatalf("geometry accessors wrong: %d %d %d", c.Sets(), c.Ways(), c.Capacity())
 	}
 }
+
+// TestResetOrderMatchesFullWalk pins Reset's eviction order — ascending set,
+// MRU-first within a set — against an independent LRU model walked over
+// every set, for sparse occupancy spread across all eight bitmap words of a
+// 512-set cache and over repeated fill/reset rounds.
+func TestResetOrderMatchesFullWalk(t *testing.T) {
+	const sets, ways = 512, 4
+	rng := rand.New(rand.NewSource(7))
+	c := New(sets, ways)
+	var fired []memmodel.Line
+	c.SetOnEvict(func(l memmodel.Line) { fired = append(fired, l) })
+	for round := 0; round < 20; round++ {
+		model := make([][]memmodel.Line, sets)
+		// A handful of hot sets per round, so most bitmap words stay sparse.
+		hot := make([]int, 1+rng.Intn(24))
+		for i := range hot {
+			hot[i] = rng.Intn(sets)
+		}
+		for i := 0; i < 200; i++ {
+			s := hot[rng.Intn(len(hot))]
+			l := memmodel.Line(s + sets*rng.Intn(6))
+			set := model[s]
+			for j, x := range set {
+				if x == l {
+					set = append(set[:j], set[j+1:]...)
+					break
+				}
+			}
+			set = append([]memmodel.Line{l}, set...)
+			if len(set) > ways {
+				set = set[:ways]
+			}
+			model[s] = set
+			c.Touch(l)
+		}
+		var want []memmodel.Line
+		for _, set := range model {
+			want = append(want, set...)
+		}
+		fired = fired[:0]
+		c.Reset()
+		// LRU victims fired during the fill phase were cleared above; only
+		// the Reset departures remain.
+		if len(fired) != len(want) {
+			t.Fatalf("round %d: Reset fired %d lines, want %d", round, len(fired), len(want))
+		}
+		for i := range want {
+			if fired[i] != want[i] {
+				t.Fatalf("round %d: Reset order diverges at %d: got %d, want %d", round, i, fired[i], want[i])
+			}
+		}
+		if c.Len() != 0 || len(c.Resident()) != 0 {
+			t.Fatalf("round %d: cache not empty after Reset", round)
+		}
+	}
+}
+
+// TestNewAllocatesOnce pins that a cache is carved out of one backing array:
+// the HTM builds two per thread per run.
+func TestNewAllocatesOnce(t *testing.T) {
+	var c *Cache
+	if n := testing.AllocsPerRun(100, func() { c = New(512, 8) }); n > 2 {
+		t.Fatalf("New allocated %v times, want at most 2", n)
+	}
+	_ = c
+}

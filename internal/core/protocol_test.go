@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -532,6 +534,59 @@ func TestProfLoopcutAvoidsFirstAbort(t *testing.T) {
 	}
 	if rt.Stats().LoopCuts == 0 {
 		t.Fatal("ProfLoopcut never cut")
+	}
+}
+
+// TestProfCutIgnoresForeignThresholdKeys: a profile key no LoopCheck in the
+// program uses — here 1<<31 — can never trigger a cut, so it must neither
+// change the run nor size any per-loop table by its value. A program whose
+// own loop carries such an id must cut exactly as with a small id.
+func TestProfCutIgnoresForeignThresholdKeys(t *testing.T) {
+	inner := sim.LoopID(2)
+	build := func() *sim.Program {
+		al := memmodel.NewAllocator(1 << 20)
+		big := al.AllocWords(1024 * 8)
+		return &sim.Program{Name: "farkey", Workers: [][]sim.Instr{
+			{&sim.Loop{ID: 1, Count: 2, Body: []sim.Instr{
+				&sim.Loop{ID: inner, Count: 800, Body: []sim.Instr{
+					&sim.MemAccess{Write: true, Addr: sim.AddrExpr{Base: big, Mode: sim.AddrLoop, Stride: 8}, Site: 1},
+				}},
+				&sim.Syscall{Name: "s", Cycles: 30},
+			}}},
+			padWork(memmodel.NewAllocator(1<<24), 50, 2000),
+		}}
+	}
+	htmCfg := htm.DefaultConfig()
+	htmCfg.WriteSets, htmCfg.WriteWays = 32, 8
+	prof := core.LoopThresholds{2: 200}
+	run := func(th core.LoopThresholds) (core.Stats, *sim.Result, uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rt, res := runTxRace(t, build(), core.Options{LoopCut: core.ProfCut, Thresholds: th, HTM: htmCfg}, quietConfig())
+		runtime.ReadMemStats(&after)
+		return rt.Stats(), res, after.TotalAlloc - before.TotalAlloc
+	}
+	wantStats, wantRes, baseBytes := run(prof)
+	if wantStats.LoopCuts == 0 {
+		t.Fatal("profiled loop never cut: the test exercises nothing")
+	}
+	far := prof.Clone()
+	far[1<<31] = 5
+	gotStats, gotRes, farBytes := run(far)
+	if !reflect.DeepEqual(gotStats, wantStats) || !reflect.DeepEqual(gotRes, wantRes) {
+		t.Fatalf("foreign threshold key changed the run:\n got  %+v\n want %+v", gotStats, wantStats)
+	}
+	if farBytes > baseBytes+1<<20 {
+		t.Fatalf("foreign threshold key allocated %d bytes, baseline %d", farBytes, baseBytes)
+	}
+
+	inner = 1 << 31
+	gotStats, gotRes, farBytes = run(core.LoopThresholds{inner: 200})
+	if !reflect.DeepEqual(gotStats, wantStats) || !reflect.DeepEqual(gotRes, wantRes) {
+		t.Fatalf("loop id 1<<31 cut differently from loop id 2:\n got  %+v\n want %+v", gotStats, wantStats)
+	}
+	if farBytes > baseBytes+1<<20 {
+		t.Fatalf("loop id 1<<31 allocated %d bytes, baseline %d", farBytes, baseBytes)
 	}
 }
 

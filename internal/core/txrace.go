@@ -102,7 +102,8 @@ func (o Options) withDefaults() Options {
 
 // threadCtx is the runtime's per-thread state.
 type threadCtx struct {
-	mode         Mode
+	mode Mode
+	// snap is the rollback point, rewritten in place at every begin.
 	snap         sim.Snapshot
 	genAtBegin   uint64
 	clockAtBegin int64
@@ -113,10 +114,12 @@ type threadCtx struct {
 	// targetLine reach the detector during this slow region.
 	targetLine memmodel.Line
 	hasTarget  bool
-	// Loop-cut bookkeeping: LoopCheck hits per loop within the current
-	// transaction, and the most recent LoopCheck (the LBR stand-in used to
-	// attribute capacity aborts, §4.3).
-	iterInTx    map[sim.LoopID]int
+	// Loop-cut bookkeeping: LoopCheck hits per loop slot (TxRace.loopSlot)
+	// within the current transaction, the slots hit so far (so the clear at
+	// each begin costs only the loops actually run), and the most recent
+	// LoopCheck (the LBR stand-in used to attribute capacity aborts, §4.3).
+	iterInTx    []int
+	iterTouched []int32
 	lastLoop    sim.LoopID
 	hasLastLoop bool
 	// Fallback-governor state (governor.go): the sliding outcome window,
@@ -157,15 +160,22 @@ type TxRace struct {
 	episodeLine    memmodel.Line
 	hasEpisodeLine bool
 
-	ctx []*threadCtx
+	ctx []threadCtx // indexed by thread ID, created in Init
 
 	// Governor run-wide state: the count of currently degraded threads and
 	// the remaining region begins of an engaged global degradation window.
 	govDegraded   int
 	govGlobalLeft int
 
+	// Per-loop state is indexed by slot (loopSlot): a LoopID below
+	// denseLoops is its own slot, and the rare larger ids a program's
+	// LoopCheck marks use take the slots after those, in the order farLoops
+	// numbers them.
+	// thresholds stays keyed by LoopID: it is the harvested profile.
 	thresholds LoopThresholds
-	cutActive  map[sim.LoopID]bool
+	denseLoops int
+	farLoops   map[sim.LoopID]int
+	cutActive  []bool
 
 	// obs is the optional observability layer; episode* track the open
 	// TxFail global-abort episode so its end can be traced when the
@@ -193,16 +203,10 @@ func NewTxRace(opts Options) *TxRace {
 		det:        detect.NewWith(opts.Detect),
 		txFail:     txFailBase,
 		thresholds: opts.Thresholds,
-		cutActive:  make(map[sim.LoopID]bool),
 		obs:        opts.Obs,
 		led:        opts.Obs.Ledger(),
 	}
 	r.stats.SlowRegions = make(map[Cause]uint64)
-	if opts.LoopCut == ProfCut {
-		for id := range r.thresholds {
-			r.cutActive[id] = true
-		}
-	}
 	return r
 }
 
@@ -220,9 +224,26 @@ func (r *TxRace) HWStats() htm.Stats { return r.hw.Stats() }
 // a profiling run harvests to build a ProfCut profile.
 func (r *TxRace) Thresholds() LoopThresholds { return r.thresholds }
 
-// Init implements sim.Runtime.
+// Init implements sim.Runtime. It sizes the per-loop and per-thread state
+// from the program once, so the hooks never grow a table.
 func (r *TxRace) Init(e *sim.Engine) {
 	r.eng = e
+	p := e.Program()
+	r.initLoops(p)
+	if r.opts.LoopCut == ProfCut {
+		for id := range r.thresholds {
+			// A profiled loop the program never checks cannot be cut.
+			if s, ok := r.loopSlot(id); ok {
+				r.cutActive[s] = true
+			}
+		}
+	}
+	nl := len(r.cutActive)
+	r.ctx = make([]threadCtx, p.Threads())
+	iters := make([]int, len(r.ctx)*nl)
+	for i := range r.ctx {
+		r.ctx[i].iterInTx = iters[i*nl : (i+1)*nl : (i+1)*nl]
+	}
 	r.hw.SetClock(e.ThreadClock)
 	if r.obs != nil {
 		r.hw.SetObserver(r.obs, e.ThreadClock)
@@ -232,14 +253,47 @@ func (r *TxRace) Init(e *sim.Engine) {
 	}
 }
 
-func (r *TxRace) tctx(t *sim.Thread) *threadCtx {
-	for t.ID >= len(r.ctx) {
-		r.ctx = append(r.ctx, nil)
+func (r *TxRace) tctx(t *sim.Thread) *threadCtx { return &r.ctx[t.ID] }
+
+// denseLoopLimit bounds the loop ids that index per-loop state directly, as
+// sim bounds its dense sync-id tables: builders hand out loop ids from 1, and
+// a larger id in a hand-built program costs a map probe, not a huge table.
+const denseLoopLimit = 1 << 16
+
+// initLoops assigns a slot to every loop id the program's LoopCheck marks
+// use (the only ids the loop-cut hooks ever see) and sizes cutActive.
+func (r *TxRace) initLoops(p *sim.Program) {
+	visit := func(in sim.Instr) {
+		lc, ok := in.(*sim.LoopCheck)
+		switch {
+		case !ok:
+		case lc.ID < denseLoopLimit:
+			r.denseLoops = max(r.denseLoops, int(lc.ID)+1)
+		default:
+			if r.farLoops == nil {
+				r.farLoops = make(map[sim.LoopID]int)
+			}
+			if _, seen := r.farLoops[lc.ID]; !seen {
+				r.farLoops[lc.ID] = len(r.farLoops)
+			}
+		}
 	}
-	if r.ctx[t.ID] == nil {
-		r.ctx[t.ID] = &threadCtx{iterInTx: make(map[sim.LoopID]int)}
+	sim.ForEachInstr(p.Setup, visit)
+	for _, w := range p.Workers {
+		sim.ForEachInstr(w, visit)
 	}
-	return r.ctx[t.ID]
+	sim.ForEachInstr(p.Teardown, visit)
+	r.cutActive = make([]bool, r.denseLoops+len(r.farLoops))
+}
+
+// loopSlot returns the per-loop state index of id, and false when no
+// LoopCheck in the program uses id.
+func (r *TxRace) loopSlot(id sim.LoopID) (int, bool) {
+	if int(id) < r.denseLoops {
+		return int(id), true
+	}
+	s, ok := r.farLoops[id]
+	return r.denseLoops + s, ok
 }
 
 // multithreaded reports whether HTM monitoring is worthwhile: at least two
@@ -361,22 +415,23 @@ func (r *TxRace) TxBeginMark(t *sim.Thread, m *sim.TxBegin) {
 		o.TxBegin(t.ID, t.Clock)
 	}
 	c.mode = ModeFast
-	c.snap = r.eng.Checkpoint(t)
+	r.eng.Checkpoint(t, &c.snap)
 	c.genAtBegin = r.txFailGen
 	c.clockAtBegin = t.Clock
 	c.hasLastLoop = false
 	c.attribSyscall = false
 	c.attribFault = false
-	clearLoopIters(c.iterInTx)
+	c.clearLoopIters()
 	// Instrumented prologue: read the TxFail flag transactionally so a
 	// later non-transactional write to it aborts this transaction (§4.1).
 	r.hw.Access(t.ID, r.txFail, false)
 }
 
-func clearLoopIters(m map[sim.LoopID]int) {
-	for k := range m {
-		delete(m, k)
+func (c *threadCtx) clearLoopIters() {
+	for _, s := range c.iterTouched {
+		c.iterInTx[s] = 0
 	}
+	c.iterTouched = c.iterTouched[:0]
 }
 
 // Atomic handles an atomic read-modify-write: a synchronization operation,
@@ -453,8 +508,8 @@ func (r *TxRace) SyscallEvent(t *sim.Thread, sc *sim.Syscall) {
 		// level change dooms every open transaction machine-wide, modelling
 		// an interrupt storm around the syscall, not just the caller's own
 		// transaction.
-		for tid, oc := range r.ctx {
-			if oc != nil && oc.mode == ModeFast {
+		for tid := range r.ctx {
+			if oc := &r.ctx[tid]; oc.mode == ModeFast {
 				oc.attribFault = true
 				r.hw.InjectInterrupt(tid)
 			}
@@ -615,7 +670,7 @@ func (r *TxRace) handleAbort(t *sim.Thread, c *threadCtx, st htm.Status) {
 	c.attribCause = ac
 	t.Phase = obs.PhaseSlow
 	r.stats.SlowRegions[cause]++
-	r.eng.Restore(t, c.snap)
+	r.eng.Restore(t, &c.snap)
 	c.slowStart = t.Clock
 	// The wasted attempt is part of this cause's overhead.
 	r.addCauseCycles(cause, wasted+cost.AbortPenalty)
@@ -643,7 +698,7 @@ func (r *TxRace) retryFast(t *sim.Thread, c *threadCtx, attempt int, wasted int6
 		o.TxRetry(t.ID, t.Clock, attempt)
 	}
 	c.mode = ModeIdle
-	r.eng.Restore(t, c.snap) // re-executes TxBegin → new transaction
+	r.eng.Restore(t, &c.snap) // re-executes TxBegin → new transaction
 }
 
 func (r *TxRace) addCauseCycles(cause Cause, cycles int64) {
@@ -666,8 +721,8 @@ func (r *TxRace) noteCapacityAbort(c *threadCtx) {
 		return
 	}
 	id := c.lastLoop
-	if !r.cutActive[id] {
-		r.cutActive[id] = true
+	if s, _ := r.loopSlot(id); !r.cutActive[s] {
+		r.cutActive[s] = true
 		if _, ok := r.thresholds[id]; !ok {
 			r.thresholds[id] = 2 // DynLoopcut's small initial estimate
 		}
@@ -692,12 +747,19 @@ func (r *TxRace) LoopCheckMark(t *sim.Thread, m *sim.LoopCheck) {
 		return
 	}
 	c.lastLoop, c.hasLastLoop = m.ID, true
-	c.iterInTx[m.ID]++
-	if r.opts.LoopCut == NoCut || !r.cutActive[m.ID] {
+	if r.opts.LoopCut == NoCut {
+		return
+	}
+	s, _ := r.loopSlot(m.ID)
+	if c.iterInTx[s] == 0 {
+		c.iterTouched = append(c.iterTouched, int32(s))
+	}
+	c.iterInTx[s]++
+	if !r.cutActive[s] {
 		return
 	}
 	th := r.thresholds[m.ID]
-	if th <= 0 || c.iterInTx[m.ID] < th {
+	if th <= 0 || c.iterInTx[s] < th {
 		return
 	}
 	// Cut: end the transaction here and start a new one, moving the
@@ -736,10 +798,10 @@ func (r *TxRace) LoopCheckMark(t *sim.Thread, m *sim.LoopCheck) {
 	if o := r.obs; o != nil {
 		o.TxBegin(t.ID, t.Clock)
 	}
-	c.snap = r.eng.Checkpoint(t)
+	r.eng.Checkpoint(t, &c.snap)
 	c.genAtBegin = r.txFailGen
 	c.clockAtBegin = t.Clock
-	clearLoopIters(c.iterInTx)
+	c.clearLoopIters()
 	c.hasLastLoop = false
 	c.attribSyscall = false
 	c.attribFault = false

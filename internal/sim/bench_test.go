@@ -39,10 +39,12 @@ func BenchmarkCheckpointRestore(b *testing.B) {
 		b.Fatal(err)
 	}
 	t := rt.t
+	var s Snapshot
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := eng.Checkpoint(t)
-		eng.Restore(t, s)
+		eng.Checkpoint(t, &s)
+		eng.Restore(t, &s)
 	}
 }
 

@@ -291,7 +291,7 @@ func execLock(e *Engine, t *Thread, d *dinstr) bool {
 		return true
 	}
 	m.waiters = append(m.waiters, t)
-	t.state = stateBlocked
+	e.block(t)
 	return false
 }
 
@@ -322,7 +322,7 @@ func execRLock(e *Engine, t *Thread, d *dinstr) bool {
 		return true
 	}
 	l.waiters = append(l.waiters, t)
-	t.state = stateBlocked
+	e.block(t)
 	return false
 }
 
@@ -349,7 +349,7 @@ func execWLock(e *Engine, t *Thread, d *dinstr) bool {
 		return true
 	}
 	l.waiters = append(l.waiters, t)
-	t.state = stateBlocked
+	e.block(t)
 	return false
 }
 
@@ -390,7 +390,7 @@ func execWait(e *Engine, t *Thread, d *dinstr) bool {
 		return true
 	}
 	s.waiters = append(s.waiters, t)
-	t.state = stateBlocked
+	e.block(t)
 	return false
 }
 
@@ -411,7 +411,7 @@ func execCondWait(e *Engine, t *Thread, d *dinstr) bool {
 			e.wake(w, t.Clock)
 		}
 		cv.waiters = append(cv.waiters, t)
-		t.state = stateBlocked
+		e.block(t)
 		return false
 	}
 	if m.owner == nil {
@@ -424,7 +424,7 @@ func execCondWait(e *Engine, t *Thread, d *dinstr) bool {
 		return true
 	}
 	m.waiters = append(m.waiters, t)
-	t.state = stateBlocked
+	e.block(t)
 	return false
 }
 
@@ -465,7 +465,7 @@ func execBarrier(e *Engine, t *Thread, d *dinstr) bool {
 		e.rt.SyncRelease(t, d.id, SyncBarrier)
 		b.arrived = append(b.arrived, t)
 		if len(b.arrived) < int(d.n) {
-			t.state = stateBlocked
+			e.block(t)
 			return false
 		}
 		maxClock := int64(0)
@@ -508,4 +508,3 @@ func execLoopCheck(e *Engine, t *Thread, d *dinstr) bool {
 	e.rt.LoopCheckMark(t, d.ref.(*LoopCheck))
 	return true
 }
-

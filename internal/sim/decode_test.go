@@ -24,7 +24,7 @@ type diffRT struct {
 	eng     *Engine
 	log     []string
 	restore bool
-	snaps   map[int]Snapshot
+	snaps   map[int]*Snapshot
 	rewound map[int]bool
 }
 
@@ -34,7 +34,7 @@ func (r *diffRT) add(format string, args ...any) {
 
 func (r *diffRT) Init(e *Engine) {
 	r.eng = e
-	r.snaps = map[int]Snapshot{}
+	r.snaps = map[int]*Snapshot{}
 	r.rewound = map[int]bool{}
 }
 func (r *diffRT) ThreadStart(t *Thread) { r.add("start t%d c%d", t.ID, t.Clock) }
@@ -64,7 +64,9 @@ func (r *diffRT) TxBeginMark(t *Thread, m *TxBegin) {
 	r.add("txb t%d c%d small%v", t.ID, t.Clock, m.Small)
 	if r.restore {
 		if _, ok := r.snaps[t.ID]; !ok {
-			r.snaps[t.ID] = r.eng.Checkpoint(t)
+			s := new(Snapshot)
+			r.eng.Checkpoint(t, s)
+			r.snaps[t.ID] = s
 		}
 	}
 }

@@ -151,7 +151,7 @@ func (t *Thread) Eval(a AddrExpr) memmodel.Addr {
 		return a.Base
 	case AddrLoop:
 		w := uint64(t.LoopIter(a.Depth))*a.Stride + a.Off
-		if a.Wrap != 0 {
+		if w >= a.Wrap && a.Wrap != 0 {
 			w %= a.Wrap
 		}
 		return a.Base + memmodel.Addr(w*memmodel.WordSize)
@@ -259,6 +259,14 @@ type Engine struct {
 	threads []*Thread
 	rng     PRNG
 
+	// runq holds exactly the runnable threads in ascending ID order — the
+	// order the scheduler used to scan the full thread list in — so pick
+	// visits the same candidates in the same order and makes the same tie
+	// draws while skipping blocked and finished threads. Only makeRunnable,
+	// block and exitThread change a thread's state, and they keep runq in
+	// step with it.
+	runq []*Thread
+
 	mutexes  syncTable[mutex]
 	rwlocks  syncTable[rwlock]
 	sems     syncTable[sem]
@@ -306,6 +314,10 @@ func NewEngine(cfg Config) *Engine {
 // Config returns the engine configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
+// Program returns the program being run; it is set before Runtime.Init, so
+// runtimes can size per-thread and per-loop state from it once.
+func (e *Engine) Program() *Program { return e.prog }
+
 // Charge adds c cycles to t's clock; runtimes use it for hook costs. With a
 // ledger attached, the cycles bill t's current attribution phase.
 func (e *Engine) Charge(t *Thread, c int64) {
@@ -343,14 +355,15 @@ func (e *Engine) ThreadClock(id int) int64 {
 	return e.threads[id].Clock
 }
 
-// Checkpoint captures t's control state (frames and PRNG). The TxRace
-// runtime takes one at each transaction begin so an abort can rewind the
-// region for slow-path re-execution; the PRNG is included so the replay
-// touches the same addresses.
-func (e *Engine) Checkpoint(t *Thread) Snapshot {
-	fr := make([]frame, len(t.frames))
-	copy(fr, t.frames)
-	return Snapshot{frames: fr, rng: t.RNG, valid: true}
+// Checkpoint captures t's control state (frames and PRNG) into s, reusing
+// s's frame storage. The TxRace runtime takes one at each transaction begin
+// so an abort can rewind the region for slow-path re-execution; the PRNG is
+// included so the replay touches the same addresses. Keeping one Snapshot
+// per thread makes steady-state checkpoints allocation-free.
+func (e *Engine) Checkpoint(t *Thread, s *Snapshot) {
+	s.frames = append(s.frames[:0], t.frames...)
+	s.rng = t.RNG
+	s.valid = true
 }
 
 // Restore rewinds t to a snapshot. The thread clock is deliberately NOT
@@ -358,7 +371,7 @@ func (e *Engine) Checkpoint(t *Thread) Snapshot {
 // like a hardware abort discarding work. Restoring mid-step suppresses the
 // program-counter advance for the instruction being executed, so execution
 // resumes exactly at the snapshot point.
-func (e *Engine) Restore(t *Thread, s Snapshot) {
+func (e *Engine) Restore(t *Thread, s *Snapshot) {
 	if !s.valid {
 		panic("sim: Restore with invalid snapshot")
 	}
@@ -431,7 +444,35 @@ func (e *Engine) wake(t *Thread, at int64) {
 	if t.led != nil {
 		t.led.Add(obs.PhaseSched, t.Clock-before)
 	}
+	e.makeRunnable(t)
+}
+
+// makeRunnable marks t runnable and inserts it into the run queue at its
+// ID-ordered position.
+func (e *Engine) makeRunnable(t *Thread) {
 	t.state = stateRunnable
+	q := append(e.runq, t)
+	i := len(q) - 1
+	for ; i > 0 && q[i-1].ID > t.ID; i-- {
+		q[i] = q[i-1]
+	}
+	q[i] = t
+	e.runq = q
+}
+
+// block parks the running thread t until a wake.
+func (e *Engine) block(t *Thread) {
+	t.state = stateBlocked
+	e.dequeue(t)
+}
+
+func (e *Engine) dequeue(t *Thread) {
+	for i, x := range e.runq {
+		if x == t {
+			e.runq = append(e.runq[:i], e.runq[i+1:]...)
+			return
+		}
+	}
 }
 
 // Run executes prog under rt and returns the result. It returns an error on
@@ -470,7 +511,8 @@ func (e *Engine) Run(prog *Program, rt Runtime) (res *Result, err error) {
 	}
 
 	rt.Init(e)
-	main.state = stateRunnable
+	e.runq = make([]*Thread, 0, len(e.threads))
+	e.makeRunnable(main)
 	e.scheduleInterrupt(main)
 	if e.obs != nil {
 		e.obs.ThreadStart(main.ID, main.Clock)
@@ -537,20 +579,38 @@ type joinAll struct{}
 func (*spawnAll) isInstr() {}
 func (*joinAll) isInstr()  {}
 
+// pick returns the runnable thread with the smallest clock, or nil when
+// none is runnable.
 func (e *Engine) pick() *Thread {
-	var best *Thread
-	nbest := 0
-	for _, t := range e.threads {
-		if t.state != stateRunnable {
-			continue
-		}
-		switch {
-		case best == nil || t.Clock < best.Clock:
-			best, nbest = t, 1
-		case t.Clock == best.Clock:
-			// Reservoir-sample among clock ties for seeded fairness.
+	q := e.runq
+	if len(q) == 0 {
+		return nil
+	}
+	best, bc, nbest := q[0], q[0].Clock, uint64(1)
+	for _, t := range q[1:] {
+		switch c := t.Clock; {
+		case c < bc:
+			best, bc, nbest = t, c, 1
+		case c == bc:
+			// Reservoir-sample among clock ties for seeded fairness: one
+			// draw, bit-identical to rng.Uint64n(nbest) == 0. Ties rarely
+			// span more than five threads, and a constant divisor compiles
+			// to a multiply instead of a 64-bit divide.
 			nbest++
-			if e.rng.Uint64n(uint64(nbest)) == 0 {
+			var hit bool
+			switch x := e.rng.Next(); nbest {
+			case 2:
+				hit = x%2 == 0
+			case 3:
+				hit = x%3 == 0
+			case 4:
+				hit = x%4 == 0
+			case 5:
+				hit = x%5 == 0
+			default:
+				hit = x%nbest == 0
+			}
+			if hit {
 				best = t
 			}
 		}
@@ -651,6 +711,7 @@ func (e *Engine) exitThread(t *Thread) {
 		return
 	}
 	t.state = stateDone
+	e.dequeue(t)
 	if e.obs != nil {
 		e.obs.ThreadExit(t.ID, t.Clock)
 	}
@@ -730,7 +791,7 @@ func (e *Engine) exec(t *Thread, in Instr) bool {
 			return true
 		}
 		m.waiters = append(m.waiters, t)
-		t.state = stateBlocked
+		e.block(t)
 		return false
 
 	case *Unlock:
@@ -759,7 +820,7 @@ func (e *Engine) exec(t *Thread, in Instr) bool {
 			return true
 		}
 		l.waiters = append(l.waiters, t)
-		t.state = stateBlocked
+		e.block(t)
 		return false
 
 	case *RUnlock:
@@ -784,7 +845,7 @@ func (e *Engine) exec(t *Thread, in Instr) bool {
 			return true
 		}
 		l.waiters = append(l.waiters, t)
-		t.state = stateBlocked
+		e.block(t)
 		return false
 
 	case *WUnlock:
@@ -822,7 +883,7 @@ func (e *Engine) exec(t *Thread, in Instr) bool {
 			return true
 		}
 		s.waiters = append(s.waiters, t)
-		t.state = stateBlocked
+		e.block(t)
 		return false
 
 	case *CondWait:
@@ -844,7 +905,7 @@ func (e *Engine) exec(t *Thread, in Instr) bool {
 				e.wake(w, t.Clock)
 			}
 			cv.waiters = append(cv.waiters, t)
-			t.state = stateBlocked
+			e.block(t)
 			return false
 		}
 		// Second phase (after the signal): reacquire the mutex.
@@ -860,7 +921,7 @@ func (e *Engine) exec(t *Thread, in Instr) bool {
 			return true
 		}
 		m.waiters = append(m.waiters, t)
-		t.state = stateBlocked
+		e.block(t)
 		return false
 
 	case *CondSignal:
@@ -898,7 +959,7 @@ func (e *Engine) exec(t *Thread, in Instr) bool {
 			e.rt.SyncRelease(t, in.B, SyncBarrier)
 			b.arrived = append(b.arrived, t)
 			if len(b.arrived) < in.N {
-				t.state = stateBlocked
+				e.block(t)
 				return false
 			}
 			// Last arriver releases everyone at the max arrival time.
@@ -963,7 +1024,7 @@ func (e *Engine) execSpawnAll(t *Thread) bool {
 		if w.state != stateNew {
 			continue
 		}
-		w.state = stateRunnable
+		e.makeRunnable(w)
 		w.Clock = spawnClock
 		if e.cfg.SpawnJitter > 0 {
 			w.Clock += int64(w.RNG.Uint64n(uint64(e.cfg.SpawnJitter)))
@@ -993,7 +1054,7 @@ type BatchJoiner interface {
 
 func (e *Engine) execJoinAll(t *Thread) bool {
 	if !e.allWorkersDone() {
-		t.state = stateBlocked
+		e.block(t)
 		return false
 	}
 	// Clock catch-up and per-child charges first, in the same order as the

@@ -324,7 +324,7 @@ type replayRT struct {
 func (w *replayRT) Init(e *Engine) { w.eng = e }
 func (w *replayRT) TxBeginMark(t *Thread, m *TxBegin) {
 	if !w.restored {
-		w.snap = w.eng.Checkpoint(t)
+		w.eng.Checkpoint(t, &w.snap)
 	}
 }
 func (w *replayRT) Access(t *Thread, m *MemAccess, a memmodel.Addr) {
@@ -337,7 +337,7 @@ func (w *replayRT) Access(t *Thread, m *MemAccess, a memmodel.Addr) {
 func (w *replayRT) TxEndMark(t *Thread, m *TxEnd) {
 	if !w.restored {
 		w.restored = true
-		w.eng.Restore(t, w.snap)
+		w.eng.Restore(t, &w.snap)
 	}
 }
 
