@@ -50,6 +50,15 @@ func main() {
 	if *workers < 0 {
 		fatal(fmt.Errorf("-workers must be >= 0 (0 = one per shard), got %d", *workers))
 	}
+	if *batch < 1 {
+		fatal(fmt.Errorf("-batch must be >= 1, got %d", *batch))
+	}
+	if *queue < 1 {
+		fatal(fmt.Errorf("-queue must be >= 1, got %d", *queue))
+	}
+	if *clients < 1 {
+		fatal(fmt.Errorf("-clients must be >= 1, got %d", *clients))
+	}
 
 	switch {
 	case *listen != "":
@@ -96,9 +105,6 @@ func runClients(addr, path string, clients int) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
-	}
-	if clients < 1 {
-		clients = 1
 	}
 	responses := make([]*server.Response, clients)
 	errs := make([]error, clients)

@@ -10,7 +10,9 @@
 //
 // -shards N runs the internal/server address-sharded detector on N shards
 // (bounded by -jobs workers); its race output is byte-identical to the
-// single-shard path at every shard and worker count.
+// sequential detector's at every shard and worker count. Without -shards
+// the sequential detector runs; an explicit -shards 1 runs the sharded
+// pipeline with one shard.
 //
 // Recording supports the shared observability flags: -telemetry serves live
 // /metrics, /snapshot and /attrib while the recording run executes, and
@@ -54,7 +56,13 @@ func main() {
 			fatal(err)
 		}
 	case *in != "":
-		if err := analyze(*in, *detector, *shards, common.Jobs); err != nil {
+		n := 0 // the sequential detector, unless -shards is given
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "shards" {
+				n = *shards
+			}
+		})
+		if err := analyze(*in, *detector, n, common.Jobs); err != nil {
 			fatal(err)
 		}
 	default:
@@ -103,6 +111,9 @@ func recordApp(common *cli.Common, obsFlags *cli.ObsFlags, name, out string) err
 	return nil
 }
 
+// analyze runs the offline detectors on the trace at path. shards > 0 runs
+// happens-before detection on the sharded pipeline; 0 runs the sequential
+// detector.
 func analyze(path, detector string, shards, jobs int) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -116,7 +127,7 @@ func analyze(path, detector string, shards, jobs int) error {
 	fmt.Printf("trace %q: %d events\n", tr.Name, tr.Len())
 
 	if detector == "hb" || detector == "both" {
-		if shards > 1 {
+		if shards > 0 {
 			rep, err := server.ReplaySharded(tr, shards, jobs)
 			if err != nil {
 				return err

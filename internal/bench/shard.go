@@ -17,7 +17,7 @@ import (
 )
 
 // shardTraceEvents sizes the synthetic trace the shard rows replay: large
-// enough that per-shard detection dominates the sequential routing pre-pass,
+// enough that per-shard detection dominates the sequential router stage,
 // small enough that best-of-3 stays inside the bench-smoke budget.
 const shardTraceEvents = 120_000
 

@@ -34,6 +34,45 @@ func TestSessionLosslessMatchesReference(t *testing.T) {
 	}
 }
 
+// TestSessionPipelineMatchesReference is the pipeline's differential
+// suite: every shape of the Feed-to-router-to-worker pipeline, from a
+// batch per access and a one-batch queue to the defaults, must report the
+// sequential detector's races and counts byte for byte. The traces include
+// one shorter than a router block and one an exact multiple of it.
+func TestSessionPipelineMatchesReference(t *testing.T) {
+	rec := recordTrace(t, "raytrace", 7)
+	var evs []trace.Event
+	rec.ForEach(func(e trace.Event) { evs = append(evs, e) })
+	traces := []*trace.Trace{
+		rec,
+		trace.FromEvents("block-multiple", evs[:2*blockEvents]...),
+		synthTrace(3, 8, 4000),
+		synthTrace(4, 8, blockEvents/2),
+	}
+	for _, tr := range traces {
+		ref := trace.Replay(tr)
+		for _, shards := range []int{1, 4, 8} {
+			for _, workers := range []int{1, 2, 4} {
+				for _, batch := range []int{1, 3, 256} {
+					for _, queue := range []int{1, 16} {
+						sess := NewSession(SessionConfig{Shards: shards, Workers: workers,
+							BatchSize: batch, QueueBatches: queue})
+						tr.ForEach(sess.Feed)
+						rep := sess.Finish(tr.Name)
+						label := fmt.Sprintf("%s shards=%d workers=%d batch=%d queue=%d",
+							tr.Name, shards, workers, batch, queue)
+						requireIdentical(t, label, ref, rep)
+						if rep.Events != uint64(tr.Len()) || rep.Shed != 0 {
+							t.Fatalf("%s: %d events, %d shed; want %d events, none shed",
+								label, rep.Events, rep.Shed, tr.Len())
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // streamTrace connects to addr, streams tr, and decodes the response.
 func streamTrace(t *testing.T, addr string, tr *trace.Trace) *Response {
 	t.Helper()
@@ -265,7 +304,7 @@ func TestGovernorShedsUnderOverload(t *testing.T) {
 	go func() {
 		tr.ForEach(func(e trace.Event) {
 			sess.Feed(e)
-			if sess.trips > 0 {
+			if sess.trips.Load() > 0 {
 				once.Do(func() { close(gate) }) // release workers after first trip
 			}
 		})

@@ -2,6 +2,7 @@ package server
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/clock"
 	"repro/internal/obs"
@@ -62,46 +63,77 @@ type workItem struct {
 	batch   []shardEvt
 }
 
-// Session is one client's streaming detection run: events arrive in trace
-// order through Feed (single-goroutine ingestion, like one connection), the
-// sync events drive the sequential clock router, and access batches fan out
-// to shard workers. Finish flushes, joins the workers, and merges per-shard
-// findings into a Report.
+// The pipeline's fixed sizes. Feed hands the router whole blocks, so the
+// feeding goroutine pays one channel operation per block, not per event.
+const (
+	// blockEvents is how many events one handoff to the router carries.
+	blockEvents = 1024
+	// routerBlocks is how many full blocks may wait for the router before
+	// Feed waits.
+	routerBlocks = 4
+)
+
+// Session is one client's streaming detection run, a three-stage pipeline.
+// Events arrive in trace order through Feed (single-goroutine ingestion,
+// like one connection), which collects them into blocks for the session's
+// router goroutine. The router drives the sequential clock router with the
+// sync events and fans access batches out to shard workers. Finish hands
+// off the last block, joins the router and the workers, and merges
+// per-shard findings into a Report.
 //
 // With Shed disabled the result is byte-identical to the sequential
 // detector; with Shed enabled it degrades to sampling under overload and
 // the Report carries the shed count and coverage.
 type Session struct {
-	cfg      SessionConfig
-	router   *clockRouter
-	states   []*shardState
-	queues   []chan workItem
-	batches  [][]shardEvt
-	wg       sync.WaitGroup
-	events   uint64
-	shed     uint64
-	trips    uint64
-	shedding bool
+	cfg SessionConfig
+
+	// Feeding goroutine only.
+	block    []trace.Event
+	blocks   chan []trace.Event // full blocks, Feed to router
+	spare    chan []trace.Event // routed blocks, router back to Feed
 	finished bool
 	report   *Report
+
+	// Router goroutine only, until Finish has joined it.
+	router   *clockRouter
+	batches  [][]shardEvt
+	events   uint64
+	shed     uint64
+	shedding bool
+	// trips is atomic: tests watch the governor from the feeding goroutine.
+	trips atomic.Uint64
+
+	states []*shardState
+	queues []chan workItem
+	free   chan []shardEvt // detected batches, workers back to the router
+	wg     sync.WaitGroup  // the router and the workers
 }
 
-// NewSession starts a session's workers and returns it ready for Feed.
+// NewSession starts a session's router and workers and returns it ready
+// for Feed.
 func NewSession(cfg SessionConfig) *Session {
 	cfg = cfg.withDefaults()
+	// The spare and free lists hold every block and batch that can be in
+	// flight at once, so a returned one is never dropped: a block is being
+	// filled, queued or routed, and a batch is queued or being detected.
 	s := &Session{
 		cfg:     cfg,
+		block:   make([]trace.Event, 0, blockEvents),
+		blocks:  make(chan []trace.Event, routerBlocks),
+		spare:   make(chan []trace.Event, routerBlocks+2),
 		router:  newClockRouter(),
+		batches: make([][]shardEvt, cfg.Shards),
 		states:  make([]*shardState, cfg.Shards),
 		queues:  make([]chan workItem, cfg.Workers),
-		batches: make([][]shardEvt, cfg.Shards),
+		free:    make(chan []shardEvt, cfg.Workers*(cfg.QueueBatches+1)),
 	}
 	for i := range s.states {
 		s.states[i] = newShardState()
 	}
+	s.wg.Add(1 + cfg.Workers)
+	go s.route()
 	for w := range s.queues {
 		s.queues[w] = make(chan workItem, cfg.QueueBatches)
-		s.wg.Add(1)
 		go s.worker(w)
 	}
 	if m := cfg.metrics; m != nil {
@@ -125,20 +157,72 @@ func (s *Session) worker(w int) {
 			m.queueDepth.Add(-1)
 			m.analyzed.Add(uint64(len(item.batch)))
 		}
+		// Drop the batch's clock snapshots before it waits for reuse.
+		clear(item.batch)
+		select {
+		case s.free <- item.batch[:0]:
+		default:
+		}
 	}
 }
 
 // Feed ingests one event. It must be called from a single goroutine per
-// session (the connection's ingestion goroutine), in trace order.
+// session (the connection's ingestion goroutine), in trace order. It waits
+// only when routerBlocks full blocks are already waiting for the router.
 func (s *Session) Feed(e trace.Event) {
-	s.events++
-	if m := s.cfg.metrics; m != nil {
-		m.events.Inc()
+	s.block = append(s.block, e)
+	if len(s.block) == blockEvents {
+		s.handOff()
 	}
+}
+
+// handOff sends the full block to the router and starts a new one on a
+// routed block when one has come back.
+func (s *Session) handOff() {
+	s.blocks <- s.block
+	select {
+	case b := <-s.spare:
+		s.block = b[:0]
+	default:
+		s.block = make([]trace.Event, 0, blockEvents)
+	}
+}
+
+// route is the router goroutine: it routes every block, then flushes the
+// pending batches, blocking (ingestion is over, so waiting no longer
+// stalls a client), and closes the worker queues.
+func (s *Session) route() {
+	defer s.wg.Done()
+	for b := range s.blocks {
+		for i := range b {
+			s.routeEvent(&b[i])
+		}
+		if m := s.cfg.metrics; m != nil {
+			m.events.Add(uint64(len(b)))
+		}
+		select {
+		case s.spare <- b:
+		default:
+		}
+	}
+	for sh := range s.batches {
+		s.flush(sh, true)
+	}
+	for _, q := range s.queues {
+		close(q)
+	}
+}
+
+// routeEvent applies a sync event to the clock router, or appends an
+// access to its shard's batch with the current snapshot of its thread's
+// clock.
+func (s *Session) routeEvent(e *trace.Event) {
+	idx := s.events
+	s.events++
 	if e.Kind != trace.KAccess {
 		// Sync events are never shed: dropping one would corrupt the
 		// happens-before frontier for every later access.
-		s.router.applySync(e)
+		s.router.applySync(*e)
 		return
 	}
 	sh := shardOf(e.Addr, s.cfg.Shards)
@@ -152,7 +236,7 @@ func (s *Session) Feed(e trace.Event) {
 	}
 	s.batches[sh] = append(s.batches[sh], shardEvt{
 		vc:   s.router.snapshot(clock.TID(e.TID)),
-		addr: e.Addr, idx: s.events - 1, site: e.Site,
+		addr: e.Addr, idx: idx, site: e.Site,
 		tid: clock.TID(e.TID), write: e.Write,
 	})
 	if len(s.batches[sh]) >= s.cfg.BatchSize {
@@ -181,7 +265,8 @@ func (s *Session) dropAccess(n int) {
 // flush hands shard sh's pending batch to its worker. When shedding is
 // enabled and the worker queue is full, the batch is dropped and the
 // governor trips into sampling mode; blocking flushes (shed disabled, or
-// the final drain) wait instead.
+// the final drain) wait instead. The shard's next batch is a detected one
+// a worker gave back, when there is one.
 func (s *Session) flush(sh int, block bool) {
 	b := s.batches[sh]
 	if len(b) == 0 {
@@ -199,7 +284,7 @@ func (s *Session) flush(sh int, block bool) {
 		default:
 			s.dropAccess(len(b))
 			s.shedding = true
-			s.trips++
+			s.trips.Add(1)
 			if m != nil {
 				m.trips.Inc()
 			}
@@ -212,12 +297,16 @@ func (s *Session) flush(sh int, block bool) {
 			m.queueDepth.Add(1)
 		}
 	}
-	s.batches[sh] = make([]shardEvt, 0, s.cfg.BatchSize)
+	select {
+	case s.batches[sh] = <-s.free:
+	default:
+		s.batches[sh] = make([]shardEvt, 0, s.cfg.BatchSize)
+	}
 }
 
-// Finish flushes every pending batch (blocking — ingestion is over, so
-// waiting no longer stalls a client), joins the workers, and merges the
-// per-shard findings into the final report.
+// Finish hands off the pending block and waits for the router to route it,
+// flush every batch and close the worker queues; then it joins the workers
+// and merges the per-shard findings into the final report.
 //
 // Finish is idempotent: a second call returns the first call's report (with
 // the name it was finished under) instead of tearing down twice. Retrying or
@@ -228,12 +317,10 @@ func (s *Session) Finish(name string) *Report {
 		return s.report
 	}
 	s.finished = true
-	for sh := range s.batches {
-		s.flush(sh, true)
+	if len(s.block) > 0 {
+		s.blocks <- s.block
 	}
-	for _, q := range s.queues {
-		close(q)
-	}
+	close(s.blocks)
 	s.wg.Wait()
 	races, checks := mergeShards(s.states)
 	if m := s.cfg.metrics; m != nil {
@@ -245,7 +332,7 @@ func (s *Session) Finish(name string) *Report {
 		Shards: s.cfg.Shards,
 		Events: s.events,
 		Checks: checks,
-		Shed:   s.shed, GovernorTrips: s.trips,
+		Shed:   s.shed, GovernorTrips: s.trips.Load(),
 		races: races,
 	}
 	return s.report

@@ -10,12 +10,12 @@
 package server
 
 import (
+	"runtime"
 	"sort"
 
 	"repro/internal/clock"
 	"repro/internal/detect"
 	"repro/internal/memmodel"
-	"repro/internal/runner"
 	"repro/internal/shadow"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -354,58 +354,15 @@ func (r *Report) RaceKeys() []detect.PairKey {
 }
 
 // ReplaySharded analyzes a recorded trace with `shards` parallel detection
-// shards on a pool of `jobs` workers (0 = GOMAXPROCS): a sequential pre-pass
-// routes every access to its address shard with a clock snapshot, one
-// runner job per shard detects independently, and the plan-order reduction
-// merges findings back into the sequential first-detection order. The race
-// list is byte-identical to trace.Replay(t).Races() at every shard and
-// worker count.
+// shards on `jobs` workers (0 = GOMAXPROCS): it feeds the trace through a
+// lossless Session, so offline and served detection share one pipeline.
+// The race list is byte-identical to trace.Replay(t).Races() at every
+// shard and worker count. The error is always nil.
 func ReplaySharded(t *trace.Trace, shards, jobs int) (*Report, error) {
-	if shards < 1 {
-		shards = 1
+	if jobs < 1 {
+		jobs = runtime.GOMAXPROCS(0)
 	}
-	router := newClockRouter()
-	parts := make([][]shardEvt, shards)
-	var idx uint64
-	t.ForEach(func(e trace.Event) {
-		if e.Kind == trace.KAccess {
-			sh := shardOf(e.Addr, shards)
-			parts[sh] = append(parts[sh], shardEvt{
-				vc:   router.snapshot(clock.TID(e.TID)),
-				addr: e.Addr, idx: idx, site: e.Site,
-				tid: clock.TID(e.TID), write: e.Write,
-			})
-		} else {
-			router.applySync(e)
-		}
-		idx++
-	})
-	threads := router.numThreads()
-
-	plan := runner.NewPlan(jobs, nil)
-	handles := make([]*runner.Handle, shards)
-	for i := range parts {
-		part := parts[i]
-		handles[i] = plan.Add(runner.Job{
-			Workload: t.Name, Runtime: "shard", Trial: i,
-			Do: func(*runner.Job) (any, error) {
-				st := newShardState()
-				for _, ev := range part {
-					st.access(ev, threads)
-				}
-				return st, nil
-			},
-		})
-	}
-	if err := plan.Run(); err != nil {
-		return nil, err
-	}
-	states := make([]*shardState, shards)
-	for i, h := range handles {
-		states[i] = h.Value().(*shardState)
-	}
-	races, checks := mergeShards(states)
-	return &Report{
-		Name: t.Name, Shards: shards, Events: idx, Checks: checks, races: races,
-	}, nil
+	sess := NewSession(SessionConfig{Shards: shards, Workers: jobs})
+	t.ForEach(sess.Feed)
+	return sess.Finish(t.Name), nil
 }

@@ -161,8 +161,11 @@ func TestStreamReaderIncremental(t *testing.T) {
 // TestAppendAllocationBounded pins the chunked-storage fix: appending n
 // events must cost about n*sizeof(Event) bytes in about n/chunkSize chunk
 // allocations — not the ~2x byte churn of an ever-doubling slice re-copying
-// the whole recording as it grows.
+// the whole recording as it grows. GOMAXPROCS is pinned to 1 while it
+// counts, as testing.AllocsPerRun does, so mallocs made by other
+// goroutines of the process do not land in the count.
 func TestAppendAllocationBounded(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const n = 4*chunkSize + 100
 	evSize := float64(unsafe.Sizeof(Event{}))
 	var before, after runtime.MemStats

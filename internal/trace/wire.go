@@ -232,9 +232,19 @@ type StreamReader struct {
 	name      string
 	version   int
 	total     uint64
-	remaining uint64
+	remaining uint64 // events not yet decoded
 	ds        deltaState
+
+	// ahead[pos:] are events Next decoded ahead of its caller; err is the
+	// decode error that stopped the decoding after them.
+	ahead []Event
+	pos   int
+	err   error
 }
+
+// aheadEvents bounds how many v2 events Next decodes ahead: about one
+// default bufio window of 3-5 byte events.
+const aheadEvents = 1024
 
 // NewStreamReader reads the trace header from r and returns a reader
 // positioned at the first event. Both wire versions are accepted.
@@ -281,29 +291,54 @@ func (sr *StreamReader) Version() int { return sr.version }
 // Total returns the event count the header declared.
 func (sr *StreamReader) Total() uint64 { return sr.total }
 
-// Offset returns the byte offset of the next undecoded byte — on a decode
-// error, where in the stream the malformation sits (for v2, the first byte
-// of the event that failed).
+// Offset returns the byte offset of the next undecoded byte. Next decodes
+// v2 events ahead of the ones it has returned, so between events this may
+// run ahead of the caller; on a decode error it is where in the stream the
+// malformation sits (for v2, the first byte of the event that failed).
 func (sr *StreamReader) Offset() int64 { return sr.cr.n - int64(sr.br.Buffered()) }
 
 // Next returns the next event, or io.EOF once the declared count has been
 // delivered. Any other error means a malformed or truncated stream; the
-// error names the wire version and the byte offset of the failure.
+// error names the wire version and the byte offset of the failure, and
+// comes after every event decoded before it.
 func (sr *StreamReader) Next() (Event, error) {
+	if sr.pos < len(sr.ahead) {
+		sr.pos++
+		return sr.ahead[sr.pos-1], nil
+	}
+	return sr.decodeAhead()
+}
+
+// decodeAhead refills ahead and returns its first event. A v2 refill
+// decodes every whole event already buffered, so Next pays the decode
+// loop's set-up once per window rather than once per event. A v1 refill
+// reads one record: it is read whole from the source, so reading ahead
+// would wait for bytes past the event.
+func (sr *StreamReader) decodeAhead() (Event, error) {
+	if sr.err != nil {
+		return Event{}, sr.err
+	}
 	if sr.remaining == 0 {
 		return Event{}, io.EOF
 	}
-	var e [1]Event
-	if _, err := sr.read(e[:]); err != nil {
-		return Event{}, err
+	if sr.ahead == nil {
+		n := uint64(1)
+		if sr.version == version2 {
+			n = min(aheadEvents, sr.remaining)
+		}
+		sr.ahead = make([]Event, n)
 	}
-	return e[0], nil
+	n, err := sr.read(sr.ahead[:cap(sr.ahead)])
+	sr.ahead, sr.pos, sr.err = sr.ahead[:n], 0, err
+	return sr.Next()
 }
 
-// read decodes the next min(len(dst), remaining) events into dst and
-// returns how many it delivered. v2 events are decoded in place, straight
-// from the buffered window; only an event the window cuts short goes
-// through gatherV2.
+// read decodes up to min(len(dst), remaining) events into dst and returns
+// how many it delivered, with the error that stopped it after them, if
+// any. v2 events are decoded in place, straight from bufio's buffered
+// window. read waits for more bytes only when not one whole event is
+// buffered, and then through gatherV2, so it never waits for a byte past
+// an event it could deliver.
 func (sr *StreamReader) read(dst []Event) (int, error) {
 	if uint64(len(dst)) > sr.remaining {
 		dst = dst[:sr.remaining]
@@ -336,6 +371,9 @@ func (sr *StreamReader) read(dst []Event) (int, error) {
 		sr.br.Discard(off)
 		sr.remaining -= uint64(n - first)
 		if err == errShort {
+			if n > 0 {
+				break
+			}
 			if err = sr.gatherV2(len(p)-off, &dst[n]); err == nil {
 				n++
 				sr.remaining--

@@ -296,6 +296,63 @@ func TestDecodeReaderIndependentAcrossWindows(t *testing.T) {
 	}
 }
 
+// TestNextDeliversEventsBeforeError pins decode-ahead's error order: on a
+// stream of k good events and then a corrupt byte, Next yields exactly the
+// k events, then the error naming event k and its offset, whatever way the
+// source cuts the stream into reads and wherever k falls against the
+// decode-ahead buffer.
+func TestNextDeliversEventsBeforeError(t *testing.T) {
+	const n = 3*aheadEvents + 10
+	tr := &Trace{Name: "corrupt"}
+	for i := 0; i < n; i++ {
+		tr.Append(Event{Kind: KAccess, TID: int32(i % 5), Write: i%3 == 0,
+			Site: shadow.SiteID(i % 17), Addr: memmodel.Addr(8 * (i*i%4099 + 1))})
+	}
+	wire := func(tr *Trace) []byte {
+		var buf bytes.Buffer
+		if _, err := tr.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	full := wire(tr)
+	for _, k := range []int{0, 1, aheadEvents - 1, aheadEvents, aheadEvents + 1, 2*aheadEvents + 7, n - 1} {
+		// The prefix trace has the same name, so its header is as long
+		// and its length is where event k starts.
+		prefix := &Trace{Name: tr.Name}
+		for i := 0; i < k; i++ {
+			prefix.Append(tr.At(i))
+		}
+		at := len(wire(prefix))
+		bad := append([]byte(nil), full...)
+		bad[at] = 0xff // kind 7 does not exist
+		want := fmt.Sprintf("event %d at offset %d: invalid event kind 7", k, at)
+		for _, rk := range readerKinds {
+			sr, err := NewStreamReader(rk.wrap(bytes.NewReader(bad)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < k; i++ {
+				e, err := sr.Next()
+				if err != nil {
+					t.Fatalf("k=%d %s reader: event %d: %v", k, rk.name, i, err)
+				}
+				if e != tr.At(i) {
+					t.Fatalf("k=%d %s reader: event %d: %+v, want %+v", k, rk.name, i, e, tr.At(i))
+				}
+			}
+			for try := 0; try < 2; try++ {
+				if _, err := sr.Next(); err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("k=%d %s reader: after %d events got %v, want an error containing %q", k, rk.name, k, err, want)
+				}
+			}
+			if got := sr.Offset(); got != int64(at) {
+				t.Fatalf("k=%d %s reader: Offset %d after the error, want %d", k, rk.name, got, at)
+			}
+		}
+	}
+}
+
 var (
 	vipsWireOnce sync.Once
 	vipsWire     []byte
