@@ -42,24 +42,13 @@ func (r *TSanBounded) Joined(p, c *sim.Thread) { r.det.Join(clock.TID(p.ID), clo
 // SyncAcquire implements sim.Runtime.
 func (r *TSanBounded) SyncAcquire(t *sim.Thread, s sim.SyncID, kind sim.SyncKind) {
 	r.eng.ChargeAs(t, r.eng.Config().Cost.SlowSyncHook, obs.PhaseSlow)
-	switch kind {
-	case sim.SyncWrite:
-		r.det.Acquire(clock.TID(t.ID), detect.SyncID(s))
-		r.det.Acquire(clock.TID(t.ID), detect.SyncID(s)|1<<31)
-	default:
-		r.det.Acquire(clock.TID(t.ID), detect.SyncID(s))
-	}
+	r.det.AcquireKind(clock.TID(t.ID), detect.SyncID(s), kind)
 }
 
 // SyncRelease implements sim.Runtime.
 func (r *TSanBounded) SyncRelease(t *sim.Thread, s sim.SyncID, kind sim.SyncKind) {
 	r.eng.ChargeAs(t, r.eng.Config().Cost.SlowSyncHook, obs.PhaseSlow)
-	switch kind {
-	case sim.SyncRead:
-		r.det.Release(clock.TID(t.ID), detect.SyncID(s)|1<<31)
-	default:
-		r.det.Release(clock.TID(t.ID), detect.SyncID(s))
-	}
+	r.det.ReleaseKind(clock.TID(t.ID), detect.SyncID(s), kind)
 }
 
 // Access implements sim.Runtime.

@@ -4,6 +4,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/memmodel"
 	"repro/internal/shadow"
+	"repro/internal/sim"
 )
 
 // CellDetector is the bounded-shadow variant: instead of exact FastTrack
@@ -29,6 +30,16 @@ func (d *CellDetector) Fork(p, c clock.TID)             { d.hb.Fork(p, c) }
 func (d *CellDetector) Join(p, c clock.TID)             { d.hb.Join(p, c) }
 func (d *CellDetector) Acquire(tid clock.TID, o SyncID) { d.hb.Acquire(tid, o) }
 func (d *CellDetector) Release(tid clock.TID, o SyncID) { d.hb.Release(tid, o) }
+
+// AcquireKind and ReleaseKind apply the rwlock policy of the package
+// functions of the same names.
+func (d *CellDetector) AcquireKind(tid clock.TID, o SyncID, k sim.SyncKind) {
+	AcquireKind(d.hb, tid, o, k)
+}
+
+func (d *CellDetector) ReleaseKind(tid clock.TID, o SyncID, k sim.SyncKind) {
+	ReleaseKind(d.hb, tid, o, k)
+}
 
 // Access checks the new access against every surviving cell, then records it
 // (possibly evicting a random cell).

@@ -1,8 +1,6 @@
 package detect
 
 import (
-	"sort"
-
 	"repro/internal/clock"
 	"repro/internal/memmodel"
 	"repro/internal/shadow"
@@ -16,12 +14,14 @@ import (
 // FastTrack usually pays O(1). BenchmarkDetectorAlgorithms quantifies the
 // gap, which is the optimization FastTrack (and hence TSan, and hence this
 // reproduction's slow path) is built on.
+//
+// It keeps its own clock half rather than composing Clocks: it is the Djit⁺
+// oracle the differential tests check the shared FastTrack core against.
 type VCDetector struct {
 	threads []*clock.VC
 	syncs   vcTable
 	vars    shadow.PageTable[vcVar]
-	races   map[PairKey]Race
-	order   []PairKey
+	races   raceSet
 
 	cfg   Config
 	stats *clock.Stats
@@ -45,11 +45,7 @@ func NewVC() *VCDetector { return NewVCWith(Config{}) }
 // NewVCWith returns an empty Djit⁺-style detector with the given clock
 // configuration.
 func NewVCWith(cfg Config) *VCDetector {
-	d := &VCDetector{
-		races: make(map[PairKey]Race),
-		cfg:   cfg,
-		stats: new(clock.Stats),
-	}
+	d := &VCDetector{cfg: cfg, stats: new(clock.Stats)}
 	if !cfg.RefDense {
 		d.syncs.mk = d.newClock
 	}
@@ -68,7 +64,9 @@ func (d *VCDetector) ClockStats() clock.Stats { return *d.stats }
 
 func (d *VCDetector) thread(tid clock.TID) *clock.VC {
 	if int(tid) >= len(d.threads) {
-		d.threads = growThreads(d.threads, tid)
+		nt := make([]*clock.VC, int(tid)+1)
+		copy(nt, d.threads)
+		d.threads = nt
 	}
 	if d.threads[tid] == nil {
 		var v *clock.VC
@@ -133,15 +131,6 @@ func siteOf(sites []shadow.SiteID, tid clock.TID) shadow.SiteID {
 	return sites[tid]
 }
 
-func (d *VCDetector) report(r Race) {
-	k := r.Key()
-	if _, dup := d.races[k]; dup {
-		return
-	}
-	d.races[k] = r
-	d.order = append(d.order, k)
-}
-
 // scan reports every component of prev that is not covered by cur —
 // Djit⁺'s per-access vector comparison. ForEach visits only live
 // components in ascending tid order, so a sparse per-variable clock costs
@@ -154,7 +143,7 @@ func (d *VCDetector) scan(prev *clock.VC, sites []shadow.SiteID, prevWrite bool,
 			return
 		}
 		if pt > cur.Get(t) {
-			d.report(Race{Addr: addr, PrevSite: siteOf(sites, t), CurSite: site,
+			d.races.add(Race{Addr: addr, PrevSite: siteOf(sites, t), CurSite: site,
 				PrevWrite: prevWrite, CurWrite: isWrite, PrevTID: t, CurTID: tid})
 		}
 	})
@@ -191,19 +180,7 @@ func (d *VCDetector) Access(tid clock.TID, addr memmodel.Addr, isWrite bool, sit
 }
 
 // RaceCount returns the number of distinct static races.
-func (d *VCDetector) RaceCount() int { return len(d.races) }
+func (d *VCDetector) RaceCount() int { return len(d.races.list) }
 
 // RaceKeys returns the sorted normalized race pairs.
-func (d *VCDetector) RaceKeys() []PairKey {
-	out := make([]PairKey, 0, len(d.races))
-	for k := range d.races {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
-	return out
-}
+func (d *VCDetector) RaceKeys() []PairKey { return d.races.keys() }

@@ -82,6 +82,10 @@ func TestVCDetectorAgreesWithFastTrack(t *testing.T) {
 			{tid: 2, write: true, addr: 64, site: 3}, {tid: 1, write: true, addr: 64, site: 4}},
 		{{tid: 0, write: true, addr: 0, site: 1}, {tid: 0, write: false, sync: 9},
 			{tid: 1, write: true, sync: 9}, {tid: 1, write: true, addr: 0, site: 2}},
+		// Two concurrent reads inflate the word to a read vector; the write
+		// races with both.
+		{{tid: 0, write: false, addr: 0, site: 1}, {tid: 1, write: false, addr: 0, site: 2},
+			{tid: 2, write: true, addr: 0, site: 3}},
 	}
 	for i, sc := range scenarios {
 		ft, vc := New(), NewVC()

@@ -26,8 +26,7 @@ type LocksetDetector struct {
 	heldRead  []map[SyncID]struct{} // + read holds
 
 	vars   shadow.PageTable[locksetVar]
-	viol   map[PairKey]Race
-	order  []PairKey
+	viol   raceSet
 	Checks uint64
 }
 
@@ -51,11 +50,7 @@ type locksetVar struct {
 }
 
 // NewLockset returns an empty lockset detector.
-func NewLockset() *LocksetDetector {
-	return &LocksetDetector{
-		viol: make(map[PairKey]Race),
-	}
-}
+func NewLockset() *LocksetDetector { return new(LocksetDetector) }
 
 func (d *LocksetDetector) set(write bool, tid clock.TID) map[SyncID]struct{} {
 	m := &d.heldRead
@@ -155,24 +150,12 @@ func (d *LocksetDetector) check(v *locksetVar, addr memmodel.Addr, tid clock.TID
 		return
 	}
 	v.reported = true
-	r := Race{Addr: addr, PrevSite: v.lastSite, CurSite: site,
-		PrevWrite: v.lastWr, CurWrite: isWrite, PrevTID: v.lastTID, CurTID: tid}
-	k := r.Key()
-	if _, dup := d.viol[k]; dup {
-		return
-	}
-	d.viol[k] = r
-	d.order = append(d.order, k)
+	d.viol.add(Race{Addr: addr, PrevSite: v.lastSite, CurSite: site,
+		PrevWrite: v.lastWr, CurWrite: isWrite, PrevTID: v.lastTID, CurTID: tid})
 }
 
 // ViolationCount returns the number of distinct lock-discipline violations.
-func (d *LocksetDetector) ViolationCount() int { return len(d.viol) }
+func (d *LocksetDetector) ViolationCount() int { return len(d.viol.list) }
 
 // Violations returns the violations in first-detection order.
-func (d *LocksetDetector) Violations() []Race {
-	out := make([]Race, 0, len(d.order))
-	for _, k := range d.order {
-		out = append(out, d.viol[k])
-	}
-	return out
-}
+func (d *LocksetDetector) Violations() []Race { return d.viol.races() }

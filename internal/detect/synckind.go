@@ -18,28 +18,30 @@ const rwReaderBit SyncID = 1 << 31
 //     after previous writers but not after each other);
 //   - rwlock write hold: join both sides (a writer is ordered after all
 //     previous writers and readers).
-func AcquireKind(d *Detector, tid clock.TID, s SyncID, kind sim.SyncKind) {
-	switch kind {
-	case sim.SyncRead:
-		d.Acquire(tid, s)
-	case sim.SyncWrite:
-		d.Acquire(tid, s)
-		d.Acquire(tid, s|rwReaderBit)
-	default:
-		d.Acquire(tid, s)
+func (k *Clocks) AcquireKind(tid clock.TID, s SyncID, kind sim.SyncKind) {
+	k.Acquire(tid, s)
+	if kind == sim.SyncWrite {
+		k.Acquire(tid, s|rwReaderBit)
 	}
 }
 
 // ReleaseKind applies the release-side semantics (see AcquireKind):
 // read-unlocks publish into the reader-side clock only; write-unlocks into
 // the writer-side clock.
-func ReleaseKind(d *Detector, tid clock.TID, s SyncID, kind sim.SyncKind) {
-	switch kind {
-	case sim.SyncRead:
-		d.Release(tid, s|rwReaderBit)
-	case sim.SyncWrite:
-		d.Release(tid, s)
-	default:
-		d.Release(tid, s)
+func (k *Clocks) ReleaseKind(tid clock.TID, s SyncID, kind sim.SyncKind) {
+	if kind == sim.SyncRead {
+		s |= rwReaderBit
 	}
+	k.Release(tid, s)
+}
+
+// AcquireKind applies Clocks.AcquireKind's rwlock policy to d.
+func AcquireKind(d *Detector, tid clock.TID, s SyncID, kind sim.SyncKind) {
+	d.clk.AcquireKind(tid, s, kind)
+}
+
+// ReleaseKind applies Clocks.ReleaseKind's rwlock policy to d.
+func ReleaseKind(d *Detector, tid clock.TID, s SyncID, kind sim.SyncKind) {
+	d.clk.ReleaseKind(tid, s, kind)
+	d.maybeCollapse()
 }

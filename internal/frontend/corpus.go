@@ -3,9 +3,10 @@ package frontend
 import (
 	"embed"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
+	"repro/internal/detect"
 	"repro/internal/sim"
 )
 
@@ -181,7 +182,7 @@ func (p *Program) resolveSite(spec SiteSpec) (sim.SiteID, error) {
 // ResolvedRace is one ground-truth race with its site specs resolved to the
 // compiled program's site ids, normalized A <= B.
 type ResolvedRace struct {
-	A, B     sim.SiteID
+	detect.PairKey
 	Deferred bool
 }
 
@@ -201,13 +202,8 @@ func (s Snippet) GroundTruth(p *Program) ([]ResolvedRace, error) {
 		if b < a {
 			a, b = b, a
 		}
-		out = append(out, ResolvedRace{A: a, B: b, Deferred: r.Deferred})
+		out = append(out, ResolvedRace{PairKey: detect.PairKey{A: a, B: b}, Deferred: r.Deferred})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
+	slices.SortFunc(out, func(x, y ResolvedRace) int { return x.Compare(y.PairKey) })
 	return out, nil
 }

@@ -140,7 +140,7 @@ func (s *Server) rateLoop() {
 
 // RaceJSON is one race in the wire response; Text is the exact
 // detect.Race.String() rendering, so clients can diff against txtrace
-// output line-for-line.
+// output line by line.
 type RaceJSON struct {
 	Addr      uint64 `json:"addr"`
 	PrevSite  uint32 `json:"prev_site"`

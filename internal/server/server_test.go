@@ -282,6 +282,47 @@ func TestServerRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestServerSurvivesOutOfRangeTID: a v1 stream naming thread -1 gets a
+// JSON error instead of reaching the router (where it would index a clock
+// slice at -1 and take the whole process down), and the server goes on
+// serving the next client.
+func TestServerSurvivesOutOfRangeTID(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{})
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	bad := trace.FromEvents("bad", trace.Event{Kind: trace.KAccess, TID: -1, Addr: 0x100, Site: 1})
+	var buf bytes.Buffer
+	if _, err := bad.WriteToV1(&buf); err != nil {
+		t.Fatal(err)
+	}
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Write(buf.Bytes())
+	var resp Response
+	if err := json.NewDecoder(c).Decode(&resp); err != nil {
+		t.Fatalf("no JSON error response: %v", err)
+	}
+	for _, want := range []string{"wire v1", "implausible tid -1"} {
+		if !strings.Contains(resp.Error, want) {
+			t.Fatalf("error %q lacks %q", resp.Error, want)
+		}
+	}
+
+	tr := recordTrace(t, "raytrace", 7)
+	next := streamTrace(t, ln.Addr().String(), tr)
+	if next.Error != "" || next.Events != uint64(tr.Len()) {
+		t.Fatalf("next client: error %q, %d events; want no error, %d events", next.Error, next.Events, tr.Len())
+	}
+}
+
 // TestGovernorShedsUnderOverload forces overload deterministically: workers
 // are gated shut while ingestion floods the queues, so the governor must
 // trip into sampling mode, never block Feed, and report honest coverage —

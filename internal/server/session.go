@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/clock"
+	"repro/internal/detect"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -76,7 +77,7 @@ const (
 // Session is one client's streaming detection run, a three-stage pipeline.
 // Events arrive in trace order through Feed (single-goroutine ingestion,
 // like one connection), which collects them into blocks for the session's
-// router goroutine. The router drives the sequential clock router with the
+// router goroutine. The router drives detect's clock half with the
 // sync events and fans access batches out to shard workers. Finish hands
 // off the last block, joins the router and the workers, and merges
 // per-shard findings into a Report.
@@ -95,7 +96,7 @@ type Session struct {
 	report   *Report
 
 	// Router goroutine only, until Finish has joined it.
-	router   *clockRouter
+	clocks   *detect.Clocks
 	batches  [][]shardEvt
 	events   uint64
 	shed     uint64
@@ -121,7 +122,7 @@ func NewSession(cfg SessionConfig) *Session {
 		block:   make([]trace.Event, 0, blockEvents),
 		blocks:  make(chan []trace.Event, routerBlocks),
 		spare:   make(chan []trace.Event, routerBlocks+2),
-		router:  newClockRouter(),
+		clocks:  detect.NewClocks(),
 		batches: make([][]shardEvt, cfg.Shards),
 		states:  make([]*shardState, cfg.Shards),
 		queues:  make([]chan workItem, cfg.Workers),
@@ -150,8 +151,8 @@ func (s *Session) worker(w int) {
 			s.cfg.workerGate(w)
 		}
 		st := s.states[item.shard]
-		for _, ev := range item.batch {
-			st.access(ev, item.threads)
+		for i := range item.batch {
+			st.check(&item.batch[i], item.threads)
 		}
 		if m != nil {
 			m.queueDepth.Add(-1)
@@ -213,16 +214,15 @@ func (s *Session) route() {
 	}
 }
 
-// routeEvent applies a sync event to the clock router, or appends an
-// access to its shard's batch with the current snapshot of its thread's
-// clock.
+// routeEvent applies a sync event to the clocks, or appends an access to
+// its shard's batch with the current snapshot of its thread's clock.
 func (s *Session) routeEvent(e *trace.Event) {
 	idx := s.events
 	s.events++
 	if e.Kind != trace.KAccess {
 		// Sync events are never shed: dropping one would corrupt the
 		// happens-before frontier for every later access.
-		s.router.applySync(*e)
+		s.applySync(e)
 		return
 	}
 	sh := shardOf(e.Addr, s.cfg.Shards)
@@ -235,12 +235,27 @@ func (s *Session) routeEvent(e *trace.Event) {
 		}
 	}
 	s.batches[sh] = append(s.batches[sh], shardEvt{
-		vc:   s.router.snapshot(clock.TID(e.TID)),
+		vc:   s.clocks.Snapshot(clock.TID(e.TID)),
 		addr: e.Addr, idx: idx, site: e.Site,
 		tid: clock.TID(e.TID), write: e.Write,
 	})
 	if len(s.batches[sh]) >= s.cfg.BatchSize {
 		s.flush(sh, false)
+	}
+}
+
+// applySync applies one non-access event to the session's clocks.
+func (s *Session) applySync(e *trace.Event) {
+	tid := clock.TID(e.TID)
+	switch e.Kind {
+	case trace.KAcquire:
+		s.clocks.AcquireKind(tid, e.Sync, e.SyncKind)
+	case trace.KRelease:
+		s.clocks.ReleaseKind(tid, e.Sync, e.SyncKind)
+	case trace.KFork:
+		s.clocks.Fork(tid, clock.TID(e.Other))
+	case trace.KJoin:
+		s.clocks.Join(tid, clock.TID(e.Other))
 	}
 }
 
@@ -272,7 +287,7 @@ func (s *Session) flush(sh int, block bool) {
 	if len(b) == 0 {
 		return
 	}
-	item := workItem{shard: sh, threads: s.router.numThreads(), batch: b}
+	item := workItem{shard: sh, threads: s.clocks.NumThreads(), batch: b}
 	q := s.queues[sh%s.cfg.Workers]
 	m := s.cfg.metrics
 	if s.cfg.Shed && !block {

@@ -151,19 +151,61 @@ func TestShardedMatchesReferenceRandomized(t *testing.T) {
 	}
 }
 
-// TestSnapshotIsolation pins the copy-on-write contract: a snapshot handed
-// out before a sync operation must not observe the mutation.
+// TestSnapshotIsolation pins the copy-on-write contract of detect's clock
+// half on every path that mutates a thread clock: a snapshot handed out
+// before the operation must not observe it, and the live clock must carry
+// it exactly as on clocks that never handed out a snapshot.
 func TestSnapshotIsolation(t *testing.T) {
-	r := newClockRouter()
-	r.fork(0, 1)
-	snap := r.snapshot(1)
-	before := snap.Get(1)
-	r.applySync(trace.Event{Kind: trace.KRelease, TID: 1, Sync: 3})
-	if got := snap.Get(1); got != before {
-		t.Fatalf("snapshot mutated by later release: %d -> %d", before, got)
+	setup := func() *detect.Clocks {
+		k := detect.NewClocks()
+		for c := clock.TID(1); c <= 3; c++ {
+			k.Fork(0, c)
+		}
+		k.Release(2, 5)
+		k.ReleaseKind(2, 6, sim.SyncWrite)
+		k.ReleaseKind(3, 6, sim.SyncRead)
+		return k
 	}
-	if now := r.snapshot(1).Get(1); now != before+1 {
-		t.Fatalf("router clock not advanced: %d, want %d", now, before+1)
+	cases := []struct {
+		name string
+		tid  clock.TID // the snapshotted thread
+		tick bool      // the operation advances tid's own component by one
+		op   func(k *detect.Clocks)
+	}{
+		{"fork/parent", 1, true, func(k *detect.Clocks) { k.Fork(1, 4) }},
+		{"fork/child", 4, false, func(k *detect.Clocks) { k.Fork(1, 4) }},
+		{"join", 1, false, func(k *detect.Clocks) { k.Join(1, 2) }},
+		{"acquire", 1, false, func(k *detect.Clocks) { k.Acquire(1, 5) }},
+		// A write hold joins both sides of the rwlock: two mutations, one
+		// clone.
+		{"rwlock-write-acquire", 1, false, func(k *detect.Clocks) { k.AcquireKind(1, 6, sim.SyncWrite) }},
+		{"release", 1, true, func(k *detect.Clocks) { k.Release(1, 7) }},
+		{"read-release", 1, true, func(k *detect.Clocks) { k.ReleaseKind(1, 7, sim.SyncRead) }},
+	}
+	same := func(a, b *clock.VC) bool { return a.Leq(b) && b.Leq(a) }
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			k := setup()
+			snap := k.Snapshot(tc.tid)
+			frozen := snap.Clone()
+			before := snap.Get(tc.tid)
+			tc.op(k)
+			if !same(snap, frozen) {
+				t.Fatalf("snapshot mutated by later %s: %v -> %v", tc.name, frozen, snap)
+			}
+			now := k.Snapshot(tc.tid)
+			if same(now, frozen) {
+				t.Fatalf("clock unchanged by %s: %v", tc.name, now)
+			}
+			if tc.tick && now.Get(tc.tid) != before+1 {
+				t.Fatalf("clock not advanced: %d, want %d", now.Get(tc.tid), before+1)
+			}
+			ref := setup()
+			tc.op(ref)
+			if want := ref.Snapshot(tc.tid); !same(now, want) {
+				t.Fatalf("%s through a clone gave %v, without snapshots %v", tc.name, now, want)
+			}
+		})
 	}
 }
 
@@ -177,5 +219,3 @@ func TestShardOfStaysOnPage(t *testing.T) {
 		}
 	}
 }
-
-var _ = clock.TID(0)

@@ -177,6 +177,8 @@ func Replay(t *Trace) *detect.Detector {
 
 // ReplayVC feeds the trace to the Djit⁺-style full-vector-clock detector,
 // for algorithm comparisons against FastTrack (BenchmarkDetectorAlgorithms).
+// It applies the rwlock policy itself, not through detect.Clocks: it is the
+// independent oracle the shared FastTrack core is checked against.
 func ReplayVC(t *Trace) *detect.VCDetector {
 	d := detect.NewVC()
 	t.ForEach(func(e Event) {

@@ -223,6 +223,15 @@ func TestReadFromRejectsGarbage(t *testing.T) {
 	if _, err := ReadFrom(bytes.NewReader(cut)); err == nil {
 		t.Fatal("truncated trace accepted")
 	}
+	// A v1 access at a negative thread id: decoding it would hand Replay
+	// an index of -1.
+	var neg bytes.Buffer
+	if _, err := FromEvents("neg", Event{Kind: KAccess, TID: -1}).WriteToV1(&neg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadFrom(bytes.NewReader(neg.Bytes())); err == nil {
+		t.Fatal("v1 access at tid -1 accepted")
+	}
 }
 
 // TestTruncatedStreamNamesOffsetAndVersion pins the hardening contract:
@@ -244,10 +253,11 @@ func TestTruncatedStreamNamesOffsetAndVersion(t *testing.T) {
 	}
 	headerLen := 4 + 4 + len(tr.Name) + 8
 
-	// corruptV1 returns the v1 bytes with record 0's byte at off replaced.
-	corruptV1 := func(off int, b byte) []byte {
+	// corruptV1 returns the v1 bytes with record 0's bytes from off on
+	// replaced by b.
+	corruptV1 := func(off int, b ...byte) []byte {
 		raw := append([]byte(nil), v1.Bytes()...)
-		raw[headerLen+off] = b
+		copy(raw[headerLen+off:], b)
 		return raw
 	}
 
@@ -275,6 +285,14 @@ func TestTruncatedStreamNamesOffsetAndVersion(t *testing.T) {
 		{"v1-invalid-kind", corruptV1(0, 250), []string{"wire v1", "invalid event kind 250"}, false},
 		{"v1-invalid-write-flag", corruptV1(1, 7), []string{"wire v1", "invalid write flag 7"}, false},
 		{"v1-invalid-sync-kind", corruptV1(2, 99), []string{"wire v1", "invalid sync kind 99"}, false},
+		// Record 0 is the fork: TID at bytes 4-7, the child at 8-11. v1
+		// applies v2's thread-id bounds to both.
+		{"v1-negative-tid", corruptV1(4, 0xff, 0xff, 0xff, 0xff),
+			[]string{"wire v1", "event 0 at offset", "implausible tid -1"}, false},
+		{"v1-huge-tid", corruptV1(7, 0x7f), []string{"wire v1", "implausible tid 2130706432"}, false},
+		{"v1-negative-fork-child", corruptV1(8, 0xff, 0xff, 0xff, 0xff),
+			[]string{"wire v1", "implausible thread id -1"}, false},
+		{"v1-huge-fork-child", corruptV1(11, 0x7f), []string{"wire v1", "implausible thread id 2130706433"}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -46,9 +46,9 @@ const (
 	// maxEvents bounds what a header may claim, so corrupt counts fail
 	// fast instead of looping for 2^64 records.
 	maxEvents = 1 << 30
-	// maxTID bounds thread ids the v2 decoder accepts: the per-thread
-	// delta state is indexed by tid, and a hostile varint must not make
-	// the decoder allocate gigabytes of it.
+	// maxTID bounds thread ids the decoders accept: the v2 per-thread
+	// delta state and every detector's thread clocks are indexed by tid,
+	// and a hostile stream must not make them allocate gigabytes.
 	maxTID = 1 << 22
 )
 
@@ -407,7 +407,7 @@ func (sr *StreamReader) nextV1() (Event, error) {
 	if rec[2] > 7 {
 		return Event{}, fmt.Errorf("invalid sync kind %d", rec[2])
 	}
-	return Event{
+	e := Event{
 		Kind:     Kind(rec[0]),
 		Write:    rec[1] == 1,
 		SyncKind: sim.SyncKind(rec[2]),
@@ -416,7 +416,16 @@ func (sr *StreamReader) nextV1() (Event, error) {
 		Site:     shadow.SiteID(binary.LittleEndian.Uint32(rec[12:])),
 		Sync:     detect.SyncID(binary.LittleEndian.Uint32(rec[16:])),
 		Addr:     memmodel.Addr(binary.LittleEndian.Uint64(rec[20:])),
-	}, nil
+	}
+	// The same thread-id bounds as v2: detectors index per-thread state
+	// by tid, so a negative or huge one must not reach them.
+	if e.TID < 0 || e.TID > maxTID {
+		return Event{}, fmt.Errorf("implausible tid %d", e.TID)
+	}
+	if (e.Kind == KFork || e.Kind == KJoin) && (e.Other < 0 || e.Other > maxTID) {
+		return Event{}, fmt.Errorf("implausible thread id %d", e.Other)
+	}
+	return e, nil
 }
 
 // gatherV2 decodes the event the buffered window cuts short after have

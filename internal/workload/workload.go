@@ -2,7 +2,7 @@ package workload
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/detect"
@@ -52,12 +52,7 @@ func (bl *Built) AllRaceKeys() []detect.PairKey {
 		a, b := r.Key()
 		out = append(out, detect.PairKey{A: a, B: b})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
+	slices.SortFunc(out, detect.PairKey.Compare)
 	return out
 }
 
