@@ -52,10 +52,8 @@ import (
 	"time"
 
 	"repro/cmd/internal/cli"
-	"repro/internal/bench"
 	"repro/internal/experiment"
 	"repro/internal/obs"
-	"repro/internal/report"
 	"repro/internal/workload"
 )
 
@@ -67,11 +65,7 @@ func main() {
 		trials     = flag.Int("trials", 1, "trials to average over")
 		format     = flag.String("format", "text", "output format: text | json")
 		metricsOut = flag.String("metrics-out", "", "write per-experiment metrics snapshots (JSON map) here")
-		benchOut   = flag.String("bench-out", "", "run the micro benchmark suite, time each experiment, write BENCH JSON here")
-		benchGate  = flag.Bool("bench-gate", false, "with -bench-out: exit nonzero if the micro suite fails the allocation regression gate")
-		benchBase  = flag.String("bench-baseline", "", "with -bench-out -bench-gate: also gate htm/access rows against this committed BENCH_<n>.json trajectory")
-		threadsCts = flag.String("threads-counts", "", "comma-separated thread counts for -exp threads and the bench threads_scaling section (default 64,256,1024)")
-		shardsCts  = flag.String("shards", "1,4,8", "comma-separated shard counts for the bench shard_scaling section")
+		threadsCts = flag.String("threads-counts", "", "comma-separated thread counts for -exp threads (default 64,256,1024)")
 		linger     = flag.Duration("telemetry-linger", 0, "with -telemetry: keep serving this long after the experiments finish")
 	)
 	common := cli.AddFlags()
@@ -80,15 +74,17 @@ func main() {
 	if err := common.Validate(); err != nil {
 		fatal(err)
 	}
+	switch {
+	case *trials < 1:
+		fatal(fmt.Errorf("-trials must be at least 1, got %d", *trials))
+	case *format != "text" && *format != "json":
+		fatal(fmt.Errorf("unknown -format %q (valid: text, json)", *format))
+	}
 
 	cfg := common.ExperimentConfig()
 	cfg.Trials = *trials
 
 	counts, err := parseCounts(*threadsCts)
-	if err != nil {
-		fatal(err)
-	}
-	shardCounts, err := parseShards(*shardsCts)
 	if err != nil {
 		fatal(err)
 	}
@@ -120,7 +116,6 @@ func main() {
 	// snapshot describes exactly the runs that experiment performed; the
 	// telemetry endpoint and flight recorder re-point at the current pair.
 	snapshots := map[string]obs.Snapshot{}
-	var expTimes []benchExperiment
 	for _, id := range ids {
 		rcfg := cfg
 		if *metricsOut != "" || obsFlags.Enabled() {
@@ -130,15 +125,10 @@ func main() {
 			rcfg.Obs.AttachLedger(ledger)
 			ob.SetTarget(metrics, ledger)
 		}
-		start := time.Now()
 		if err := run(id, rcfg, apps, counts, *format); err != nil {
 			ob.OnError(err)
 			fatal(err)
 		}
-		expTimes = append(expTimes, benchExperiment{
-			ID:     id,
-			WallMs: report.FormatFixed(float64(time.Since(start).Microseconds())/1000, 2),
-		})
 		if *metricsOut != "" {
 			snapshots[id] = rcfg.Obs.Metrics().Snapshot()
 		}
@@ -149,158 +139,10 @@ func main() {
 		}
 		fmt.Printf("wrote metrics %s (%d experiments)\n", *metricsOut, len(snapshots))
 	}
-	if *benchOut != "" {
-		ecfg := cfg
-		ecfg.Obs = nil
-		if err := writeBench(*benchOut, expTimes, *benchGate, *benchBase, ecfg, apps, counts, shardCounts); err != nil {
-			fatal(err)
-		}
-	}
 	if obsFlags.Telemetry != "" && *linger > 0 {
 		fmt.Fprintf(os.Stderr, "telemetry lingering %v on http://%s/metrics\n", *linger, ob.Telemetry.Addr())
 		time.Sleep(*linger)
 	}
-}
-
-// benchExperiment is one experiment's wall-clock measurement in the -bench-out
-// file. Wall time is inherently noisy; fixed-precision formatting keeps the
-// file shape stable so trajectory diffs highlight only the numbers.
-type benchExperiment struct {
-	ID     string `json:"id"`
-	WallMs string `json:"wall_ms"`
-}
-
-// benchFile is the -bench-out JSON layout, versioned by Schema. The micro
-// suite pairs map/* (pre-refactor hash-map shadow layouts, kept in-tree as
-// reference implementations) with paged/* variants of the same workload, so
-// one file documents the before/after trajectory of the hot-path rebuild.
-// v2 adds per-backend htm/access/* micro rows and the table1_per_app
-// end-to-end section: one row per (application, conflict backend) from a
-// real backend-matrix run. v3 adds detect/join/{dense,sparse} scaling micro
-// rows plus the threads_scaling section: the txscale curve from a real
-// experiment.RunThreads run, with the sparse/dense cross-check recorded.
-// v4 adds detect/shard/{1,4,8} micro rows, the wire section (bytes/event
-// for both trace wire versions), and the shard_scaling section: end-to-end
-// sharded-replay events/sec per shard count.
-type benchFile struct {
-	Schema         string            `json:"schema"`
-	Micro          []bench.Result    `json:"micro"`
-	Wire           []bench.WireRow   `json:"wire"`
-	ShardScaling   []bench.ShardRow  `json:"shard_scaling"`
-	Table1PerApp   []benchE2E        `json:"table1_per_app"`
-	ThreadsScaling []benchThreadsRow `json:"threads_scaling"`
-	Experiments    []benchExperiment `json:"experiments"`
-}
-
-// benchThreadsRow is one thread count of the scaling curve: deterministic
-// behaviour (races, checks, clock-representation counters, the sparse≡dense
-// cross-check) plus the normalized detection overhead.
-type benchThreadsRow struct {
-	Threads    int    `json:"threads"`
-	Races      int    `json:"races"`
-	Checks     uint64 `json:"checks"`
-	Overhead   string `json:"overhead"`
-	Promotions uint64 `json:"clock_promotions"`
-	Collapses  uint64 `json:"clock_collapses"`
-	Fallbacks  uint64 `json:"clock_fallbacks"`
-	DenseMatch bool   `json:"dense_match"`
-}
-
-// benchE2E is one end-to-end (application, backend) row: overhead over the
-// uninstrumented baseline and recall against planted ground truth, from
-// experiment.RunBackends.
-type benchE2E struct {
-	App      string `json:"app"`
-	Backend  string `json:"backend"`
-	Overhead string `json:"overhead"`
-	Recall   string `json:"recall"`
-	SlowRate string `json:"slow_rate"`
-}
-
-func writeBench(path string, exps []benchExperiment, gate bool, baselinePath string, cfg experiment.Config, apps []*workload.Workload, counts, shardCounts []int) error {
-	fmt.Println("running micro benchmark suite...")
-	micro := bench.RunMicro()
-	wire, err := bench.WireRows()
-	if err != nil {
-		return err
-	}
-	fmt.Println("running shard-scaling throughput...")
-	shardRows, err := bench.ShardScaling(shardCounts)
-	if err != nil {
-		return err
-	}
-	fmt.Println("running backend matrix for end-to-end rows...")
-	matrix, err := experiment.RunBackends(cfg, apps)
-	if err != nil {
-		return err
-	}
-	var e2e []benchE2E
-	for _, r := range matrix.Rows {
-		e2e = append(e2e, benchE2E{
-			App: r.App.Name, Backend: r.Backend,
-			Overhead: report.FormatFixed(r.Overhead, 2),
-			Recall:   report.FormatFixed(r.Recall, 2),
-			SlowRate: report.FormatFixed(r.SlowRate, 2),
-		})
-	}
-	fmt.Println("running threads-scaling curve...")
-	th, err := experiment.RunThreads(cfg, counts)
-	if err != nil {
-		return err
-	}
-	var trows []benchThreadsRow
-	for _, r := range th.Rows {
-		trows = append(trows, benchThreadsRow{
-			Threads: r.Threads, Races: r.Races, Checks: r.Checks,
-			Overhead:   report.FormatFixed(r.Overhead, 2),
-			Promotions: r.Clock.Promotions, Collapses: r.Clock.Collapses,
-			Fallbacks: r.Clock.Fallbacks, DenseMatch: r.DenseMatch,
-		})
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	werr := enc.Encode(benchFile{Schema: "txrace-bench/v4", Micro: micro, Wire: wire, ShardScaling: shardRows, Table1PerApp: e2e, ThreadsScaling: trows, Experiments: exps})
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return werr
-	}
-	fmt.Printf("wrote bench %s (%d micro, %d e2e, %d threads, %d experiments)\n", path, len(micro), len(e2e), len(trows), len(exps))
-	if gate {
-		if err := bench.Gate(micro); err != nil {
-			return err
-		}
-		if baselinePath != "" {
-			base, err := readBenchBaseline(baselinePath)
-			if err != nil {
-				return err
-			}
-			if err := bench.GateBaseline(micro, base); err != nil {
-				return err
-			}
-		}
-		fmt.Println("bench gate: ok")
-	}
-	return nil
-}
-
-// readBenchBaseline loads the micro rows of a committed trajectory file
-// (any schema version) for GateBaseline.
-func readBenchBaseline(path string) ([]bench.Result, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var bf benchFile
-	if err := json.Unmarshal(data, &bf); err != nil {
-		return nil, fmt.Errorf("bench baseline %s: %w", path, err)
-	}
-	return bf.Micro, nil
 }
 
 func writeSnapshots(path string, snaps map[string]obs.Snapshot) error {
@@ -325,19 +167,6 @@ func parseCounts(s string) ([]int, error) {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || n < 2 {
 			return nil, fmt.Errorf("bad -threads-counts entry %q (want integers >= 2)", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-// parseShards parses the -shards list (shard counts may be 1).
-func parseShards(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -shards entry %q (want integers >= 1)", part)
 		}
 		out = append(out, n)
 	}

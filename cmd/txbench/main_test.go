@@ -9,8 +9,9 @@ import (
 )
 
 // TestRejectsBadFlags pins the CLI contract for bad input: an unknown
-// -exp and out-of-range -threads/-scale values each exit 1 with exactly
-// one stderr line naming the problem, and never panic.
+// -exp or -format and out-of-range -threads/-scale/-trials values each exit
+// 1 with exactly one stderr line naming the problem and nothing on stdout,
+// and never panic.
 func TestRejectsBadFlags(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "txbench")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -24,14 +25,20 @@ func TestRejectsBadFlags(t *testing.T) {
 		{[]string{"-exp", "table1", "-threads", "0"}, "-threads"},
 		{[]string{"-exp", "table1", "-threads", "-2"}, "-threads"},
 		{[]string{"-exp", "table1", "-scale", "0"}, "-scale"},
+		{[]string{"-exp", "table1", "-app", "blackscholes", "-trials", "-3"}, "-trials"},
+		{[]string{"-exp", "table1", "-app", "blackscholes", "-trials", "0"}, "-trials"},
+		{[]string{"-exp", "table1", "-app", "blackscholes", "-format", "xml"}, "-format"},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			cmd := exec.Command(bin, tc.args...)
-			var stderr bytes.Buffer
-			cmd.Stderr = &stderr
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
 			err := cmd.Run()
 			if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
 				t.Fatalf("exit = %v, want exit code 1\nstderr: %s", err, stderr.String())
+			}
+			if stdout.Len() != 0 {
+				t.Fatalf("rejected only after starting work; stdout:\n%s", stdout.String())
 			}
 			msg := strings.TrimSuffix(stderr.String(), "\n")
 			if strings.ContainsRune(msg, '\n') || strings.Contains(msg, "panic") {

@@ -35,6 +35,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"repro/cmd/internal/cli"
 	"repro/internal/core"
@@ -69,6 +71,17 @@ func main() {
 	if err := common.Validate(); err != nil {
 		fatal(err)
 	}
+	loopCut, ok := cutModes[*cut]
+	switch {
+	case !ok:
+		fatal(fmt.Errorf("unknown -cut %q (valid: none, dyn, prof)", *cut))
+	case !slices.Contains(detectors, *detector):
+		fatal(fmt.Errorf("unknown -detector %q (valid: %s)", *detector, strings.Join(detectors, ", ")))
+	case !(*rate >= 0 && *rate <= 1):
+		fatal(fmt.Errorf("-rate must be in [0,1], got %v", *rate))
+	case !(*faultLevel >= 0 && *faultLevel <= 1):
+		fatal(fmt.Errorf("-fault must be in [0,1], got %v", *faultLevel))
+	}
 
 	if *list {
 		for _, name := range workload.Names() {
@@ -96,16 +109,7 @@ func main() {
 	}
 
 	cfg := common.ExperimentConfig()
-	switch *cut {
-	case "none":
-		cfg.LoopCut = core.NoCut
-	case "dyn":
-		cfg.LoopCut = core.DynCut
-	case "prof":
-		cfg.LoopCut = core.ProfCut
-	default:
-		fatal(fmt.Errorf("unknown -cut %q", *cut))
-	}
+	cfg.LoopCut = loopCut
 
 	// Observability: a ring tracer feeds the Chrome trace and the timeline,
 	// a metrics registry feeds the snapshot and the telemetry endpoint, a
@@ -190,8 +194,6 @@ func main() {
 			gt.Write(os.Stdout)
 		}
 		printRaces(r.Races)
-	default:
-		fatal(fmt.Errorf("unknown -detector %q", *detector))
 	}
 
 	if *attrib && ledger != nil {
@@ -218,6 +220,11 @@ func main() {
 		fmt.Printf("wrote metrics %s\n", *metricsOut)
 	}
 }
+
+var (
+	detectors = []string{"none", "tsan", "sampling", "txrace"}
+	cutModes  = map[string]core.CutMode{"none": core.NoCut, "dyn": core.DynCut, "prof": core.ProfCut}
+)
 
 // tracerOrNil keeps the Sink interface nil when no tracer exists (a typed
 // nil *Tracer inside a non-nil interface would defeat the sink check).

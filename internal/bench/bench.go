@@ -1,7 +1,7 @@
-// Package bench is the benchmark trajectory harness: a fixed suite of micro
-// benchmarks over the detector hot path, run via testing.Benchmark from any
-// binary (no test runner needed), plus the JSON emitter behind txbench's
-// -bench-out flag.
+// Package bench is the detector hot-path micro suite and its two gates.
+// BenchmarkMicro runs the suite's fixed rows under go test -bench; Gate
+// checks ratios between rows of one build, and Paired checks each row
+// against the parent commit's runs on the same host.
 //
 // The suite measures the paged shadow structures (internal/shadow) against
 // the original map-backed layouts (shadow.MapMemory, shadow.MapCellStore),
@@ -14,58 +14,21 @@ package bench
 
 import (
 	"fmt"
-	"strconv"
 	"testing"
 
 	"repro/internal/clock"
 	"repro/internal/detect"
 	"repro/internal/memmodel"
-	"repro/internal/report"
 	"repro/internal/shadow"
 )
 
-// Result is one micro benchmark measurement. The per-op fields are rendered
-// with report.FormatFixed so emitted JSON has stable field widths and
-// diffs cleanly across runs that differ only in float noise.
+// Result is one micro-suite row's measurement from one run.
+// AllocsPerOp is the exact malloc count per op, not go test's allocs/op,
+// which is truncated to an integer.
 type Result struct {
-	Name        string `json:"name"`
-	N           int    `json:"n"`
-	NsPerOp     string `json:"ns_per_op"`
-	AllocsPerOp string `json:"allocs_per_op"`
-	BytesPerOp  string `json:"bytes_per_op"`
-
-	nsPerOp     float64
-	allocsPerOp float64
-}
-
-// Ns returns the ns/op measurement. Results decoded from a trajectory file
-// (e.g. a committed BENCH_<n>.json used as a gate baseline) carry only the
-// formatted field, so Ns falls back to parsing it.
-func (r Result) Ns() float64 {
-	if r.nsPerOp == 0 && r.NsPerOp != "" {
-		if v, err := strconv.ParseFloat(r.NsPerOp, 64); err == nil {
-			return v
-		}
-	}
-	return r.nsPerOp
-}
-
-// Allocs returns the raw allocations/op measurement.
-func (r Result) Allocs() float64 { return r.allocsPerOp }
-
-func makeResult(name string, br testing.BenchmarkResult) Result {
-	ns := float64(br.T.Nanoseconds()) / float64(br.N)
-	allocs := float64(br.MemAllocs) / float64(br.N)
-	bytes := float64(br.MemBytes) / float64(br.N)
-	return Result{
-		Name:        name,
-		N:           br.N,
-		NsPerOp:     report.FormatFixed(ns, 2),
-		AllocsPerOp: report.FormatFixed(allocs, 4),
-		BytesPerOp:  report.FormatFixed(bytes, 2),
-		nsPerOp:     ns,
-		allocsPerOp: allocs,
-	}
+	Name        string
+	NsPerOp     float64
+	AllocsPerOp float64
 }
 
 // workingSet is the number of distinct granules each benchmark sweeps: large
@@ -194,26 +157,6 @@ func microFuncs() []microBench {
 	return append(out, joinBenches()...)
 }
 
-// RunMicro executes the fixed micro suite and returns its results in suite
-// order. Names pair map/paged variants of the same workload; the map variants
-// are the pre-refactor layouts kept as reference implementations. Each row is
-// measured three times and the fastest run kept: per-op minima damp scheduler
-// and neighbour noise, which on shared runners routinely exceeds the margins
-// the gate checks.
-func RunMicro() []Result {
-	var out []Result
-	for _, mb := range microFuncs() {
-		best := makeResult(mb.name, testing.Benchmark(mb.fn))
-		for rep := 1; rep < 3; rep++ {
-			if r := makeResult(mb.name, testing.Benchmark(mb.fn)); r.nsPerOp < best.nsPerOp {
-				best = r
-			}
-		}
-		out = append(out, best)
-	}
-	return out
-}
-
 // Find returns the named result, or false when the suite does not have it.
 func Find(rs []Result, name string) (Result, bool) {
 	for _, r := range rs {
@@ -237,18 +180,18 @@ func Gate(rs []Result) error {
 	if !ok1 || !ok2 {
 		return fmt.Errorf("bench: suite missing shadow/touch results")
 	}
-	if pt.allocsPerOp > mt.allocsPerOp/2 {
+	if pt.AllocsPerOp > mt.AllocsPerOp/2 {
 		return fmt.Errorf("bench: paged first-touch allocates %.4f/op, more than half of map's %.4f/op",
-			pt.allocsPerOp, mt.allocsPerOp)
+			pt.AllocsPerOp, mt.AllocsPerOp)
 	}
 	for _, name := range []string{"shadow/revisit/paged", "detect/sweep", "htm/access/idle"} {
 		r, ok := Find(rs, name)
 		if !ok {
 			return fmt.Errorf("bench: suite missing %s", name)
 		}
-		if r.allocsPerOp > 0.1 {
+		if r.AllocsPerOp > 0.1 {
 			return fmt.Errorf("bench: %s allocates %.4f/op, steady state should be near zero",
-				name, r.allocsPerOp)
+				name, r.AllocsPerOp)
 		}
 	}
 	// The conflict directory's claim: at the full-machine transaction count,
@@ -260,9 +203,9 @@ func Gate(rs []Result) error {
 	if !ok1 || !ok2 {
 		return fmt.Errorf("bench: suite missing htm/access results")
 	}
-	if dir.nsPerOp > scan.nsPerOp*0.75 {
+	if dir.NsPerOp > scan.NsPerOp*0.75 {
 		return fmt.Errorf("bench: directory access %.2f ns/op, more than 0.75x of scan's %.2f ns/op",
-			dir.nsPerOp, scan.nsPerOp)
+			dir.NsPerOp, scan.NsPerOp)
 	}
 	// The tag backend tracks no read/write sets, so a transactional access
 	// does strictly less work than the directory's: conflict test plus one
@@ -271,9 +214,9 @@ func Gate(rs []Result) error {
 	if !ok {
 		return fmt.Errorf("bench: suite missing htm/access/tag")
 	}
-	if tag.Ns() > dir.Ns() {
+	if tag.NsPerOp > dir.NsPerOp {
 		return fmt.Errorf("bench: tag access %.2f ns/op, slower than directory's %.2f ns/op despite tracking no sets",
-			tag.Ns(), dir.Ns())
+			tag.NsPerOp, dir.NsPerOp)
 	}
 	// The sparse/delta clock claim: at 1024 threads with idle skew the
 	// join path must beat the dense reference by 2x or better, and at 8
@@ -285,18 +228,18 @@ func Gate(rs []Result) error {
 	if !ok1 || !ok2 {
 		return fmt.Errorf("bench: suite missing detect/join/1024 results")
 	}
-	if s1024.Ns() > d1024.Ns()*0.5 {
+	if s1024.NsPerOp > d1024.NsPerOp*0.5 {
 		return fmt.Errorf("bench: sparse join at 1024 threads %.2f ns/op, less than 2x faster than dense's %.2f ns/op",
-			s1024.Ns(), d1024.Ns())
+			s1024.NsPerOp, d1024.NsPerOp)
 	}
 	d8, ok1 := Find(rs, "detect/join/dense/8")
 	s8, ok2 := Find(rs, "detect/join/sparse/8")
 	if !ok1 || !ok2 {
 		return fmt.Errorf("bench: suite missing detect/join/8 results")
 	}
-	if limit := d8.Ns() * 1.05 * 1.25; s8.Ns() > limit {
+	if limit := d8.NsPerOp * 1.05 * 1.25; s8.NsPerOp > limit {
 		return fmt.Errorf("bench: sparse join at 8 threads %.2f ns/op exceeds dense's %.2f ns/op x 1.05 budget",
-			s8.Ns(), d8.Ns())
+			s8.NsPerOp, d8.NsPerOp)
 	}
 	// Decoded dispatch must not lose to the tree walk it replaced.
 	tree, ok1 := Find(rs, "sim/dispatch/tree")
@@ -304,36 +247,9 @@ func Gate(rs []Result) error {
 	if !ok1 || !ok2 {
 		return fmt.Errorf("bench: suite missing sim/dispatch results")
 	}
-	if dec.nsPerOp > tree.nsPerOp {
+	if dec.NsPerOp > tree.NsPerOp {
 		return fmt.Errorf("bench: decoded dispatch %.0f ns/op, slower than tree walk's %.0f ns/op",
-			dec.nsPerOp, tree.nsPerOp)
+			dec.NsPerOp, tree.NsPerOp)
 	}
 	return gateShards(rs)
-}
-
-// GateBaseline checks the current run against a committed trajectory
-// baseline: the seam introduced by the ConflictBackend extraction may cost
-// the directory hot path at most 5% over the pre-refactor number, and is
-// given a further noise allowance because trajectory files are recorded on
-// different machines and runners than the gate runs on. Rows present in
-// only one of the two suites are ignored — the gate compares shared rows.
-func GateBaseline(rs, baseline []Result) error {
-	const (
-		seamBudget = 1.05 // the refactor's advertised ceiling
-		noise      = 1.25 // cross-machine wall-clock tolerance
-	)
-	for _, name := range []string{"htm/access/dir", "htm/access/scan", "htm/access/idle",
-		"detect/join/sparse/8", "detect/join/sparse/1024", "clock/collapse",
-		"detect/shard/1"} {
-		cur, ok1 := Find(rs, name)
-		base, ok2 := Find(baseline, name)
-		if !ok1 || !ok2 {
-			continue
-		}
-		if limit := base.Ns() * seamBudget * noise; cur.Ns() > limit {
-			return fmt.Errorf("bench: %s %.2f ns/op exceeds baseline %.2f ns/op x %.2f budget",
-				name, cur.Ns(), base.Ns(), seamBudget*noise)
-		}
-	}
-	return nil
 }

@@ -3,13 +3,10 @@ package bench
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 func synthetic(name string, ns, allocs float64) Result {
-	r := Result{Name: name}
-	r.nsPerOp, r.allocsPerOp = ns, allocs
-	return r
+	return Result{Name: name, NsPerOp: ns, AllocsPerOp: allocs}
 }
 
 func healthySuite() []Result {
@@ -105,24 +102,10 @@ func TestGateRejectsMissingResults(t *testing.T) {
 	}
 }
 
-func TestResultFormatting(t *testing.T) {
-	br := testing.BenchmarkResult{N: 2000, T: 3 * time.Microsecond, MemAllocs: 4, MemBytes: 128}
-	r := makeResult("x", br)
-	if r.NsPerOp != "1.50" {
-		t.Errorf("NsPerOp = %q, want 1.50", r.NsPerOp)
-	}
-	if r.AllocsPerOp != "0.0020" {
-		t.Errorf("AllocsPerOp = %q, want 0.0020", r.AllocsPerOp)
-	}
-	if r.Ns() != 1.5 {
-		t.Errorf("Ns() = %v, want 1.5", r.Ns())
-	}
-}
-
 // TestMicroSuiteSmoke runs the real suite components for a handful of
 // iterations each — enough to catch panics and wiring mistakes without the
-// full -bench-out measurement cost. The full suite (and its regression gate)
-// runs in CI via txbench -bench-out -bench-gate.
+// full measurement cost. The full suite runs as BenchmarkMicro, gated by
+// microgate in CI.
 func TestMicroSuiteSmoke(t *testing.T) {
 	for _, f := range microFuncs() {
 		n := 2048
@@ -130,27 +113,5 @@ func TestMicroSuiteSmoke(t *testing.T) {
 			n = 1 // one op is a full 120k-event sharded replay
 		}
 		f.fn(&testing.B{N: n})
-	}
-}
-
-func TestGateBaseline(t *testing.T) {
-	baseline := []Result{
-		{Name: "htm/access/dir", NsPerOp: "15.02"},
-		{Name: "htm/access/scan", NsPerOp: "32.90"},
-	}
-	cur := []Result{
-		synthetic("htm/access/dir", 16, 0),
-		synthetic("htm/access/scan", 33, 0),
-	}
-	if err := GateBaseline(cur, baseline); err != nil {
-		t.Fatalf("GateBaseline rejected a within-budget run: %v", err)
-	}
-	cur[0] = synthetic("htm/access/dir", 15.02*1.05*1.25+1, 0)
-	if err := GateBaseline(cur, baseline); err == nil || !strings.Contains(err.Error(), "htm/access/dir") {
-		t.Fatalf("GateBaseline accepted a seam-cost regression: %v", err)
-	}
-	// Rows absent from either side are not compared.
-	if err := GateBaseline([]Result{synthetic("htm/access/scan", 33, 0)}, baseline); err != nil {
-		t.Fatalf("GateBaseline rejected on missing rows: %v", err)
 	}
 }

@@ -2,15 +2,12 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/detect"
 	"repro/internal/memmodel"
-	"repro/internal/report"
 	"repro/internal/server"
 	"repro/internal/shadow"
 	"repro/internal/trace"
@@ -18,7 +15,7 @@ import (
 
 // shardTraceEvents sizes the synthetic trace the shard rows replay: large
 // enough that per-shard detection dominates the sequential router stage,
-// small enough that best-of-3 stays inside the bench-smoke budget.
+// small enough that one op stays in the tens of milliseconds.
 const shardTraceEvents = 120_000
 
 var (
@@ -62,7 +59,7 @@ func buildShardTrace() *trace.Trace {
 }
 
 // benchShardedReplay measures one full sharded replay of the synthetic
-// trace per op; events/sec for the trajectory file is derived from it.
+// trace per op.
 func benchShardedReplay(shards int) func(b *testing.B) {
 	return func(b *testing.B) {
 		shardTraceOnce.Do(func() { shardTrace = buildShardTrace() })
@@ -73,82 +70,6 @@ func benchShardedReplay(shards int) func(b *testing.B) {
 			}
 		}
 	}
-}
-
-// WireRow reports one wire version's serialized size on the synthetic
-// shard trace — the bytes/event trajectory of the v2 varint+delta format.
-type WireRow struct {
-	Version       int    `json:"version"`
-	Events        int    `json:"events"`
-	Bytes         int    `json:"bytes"`
-	BytesPerEvent string `json:"bytes_per_event"`
-}
-
-// WireRows measures both wire encodings of the shard trace.
-func WireRows() ([]WireRow, error) {
-	shardTraceOnce.Do(func() { shardTrace = buildShardTrace() })
-	var out []WireRow
-	for _, v := range []struct {
-		version int
-		write   func(io.Writer) (int64, error)
-	}{
-		{1, func(w io.Writer) (int64, error) { return shardTrace.WriteToV1(w) }},
-		{2, func(w io.Writer) (int64, error) { return shardTrace.WriteTo(w) }},
-	} {
-		n, err := v.write(io.Discard)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, WireRow{
-			Version: v.version, Events: shardTrace.Len(), Bytes: int(n),
-			BytesPerEvent: report.FormatFixed(float64(n)/float64(shardTrace.Len()), 2),
-		})
-	}
-	return out, nil
-}
-
-// ShardRow is one shard count's end-to-end sharded-replay throughput.
-type ShardRow struct {
-	Shards       int    `json:"shards"`
-	Events       int    `json:"events"`
-	Races        int    `json:"races"`
-	WallMs       string `json:"wall_ms"`
-	EventsPerSec string `json:"events_per_sec"`
-}
-
-// ShardScaling measures end-to-end sharded replay throughput (best of 3)
-// for each shard count and cross-checks that every count finds the same
-// races. Worker count follows shard count, as txserved runs it.
-func ShardScaling(counts []int) ([]ShardRow, error) {
-	shardTraceOnce.Do(func() { shardTrace = buildShardTrace() })
-	var out []ShardRow
-	races := -1
-	for _, n := range counts {
-		var best time.Duration
-		var rep *server.Report
-		for trial := 0; trial < 3; trial++ {
-			start := time.Now()
-			r, err := server.ReplaySharded(shardTrace, n, n)
-			if err != nil {
-				return nil, err
-			}
-			if d := time.Since(start); trial == 0 || d < best {
-				best, rep = d, r
-			}
-		}
-		if races < 0 {
-			races = rep.RaceCount()
-		} else if rep.RaceCount() != races {
-			return nil, fmt.Errorf("bench: %d shards found %d races, expected %d", n, rep.RaceCount(), races)
-		}
-		secs := best.Seconds()
-		out = append(out, ShardRow{
-			Shards: n, Events: shardTrace.Len(), Races: rep.RaceCount(),
-			WallMs:       report.FormatFixed(secs*1000, 2),
-			EventsPerSec: report.FormatFixed(float64(shardTrace.Len())/secs, 0),
-		})
-	}
-	return out, nil
 }
 
 // gateShards is the core-count-aware acceptance check for the sharded
@@ -165,21 +86,21 @@ func gateShards(rs []Result) error {
 	switch cores := runtime.NumCPU(); {
 	case cores >= 8:
 		// The headline claim: >= 2x events/sec at 8 shards on 8 cores.
-		if s8.Ns() > s1.Ns()*0.5 {
+		if s8.NsPerOp > s1.NsPerOp*0.5 {
 			return fmt.Errorf("bench: 8-shard replay %.0f ns/op, less than 2x faster than 1-shard's %.0f ns/op on %d cores",
-				s8.Ns(), s1.Ns(), cores)
+				s8.NsPerOp, s1.NsPerOp, cores)
 		}
 	case cores >= 4:
-		if s8.Ns() > s1.Ns()*0.8 {
+		if s8.NsPerOp > s1.NsPerOp*0.8 {
 			return fmt.Errorf("bench: 8-shard replay %.0f ns/op, not ahead of 1-shard's %.0f ns/op on %d cores",
-				s8.Ns(), s1.Ns(), cores)
+				s8.NsPerOp, s1.NsPerOp, cores)
 		}
 	default:
 		// No parallelism available: routing + merge overhead must still be
 		// bounded relative to the sequential replay.
-		if s8.Ns() > s1.Ns()*1.5 {
+		if s8.NsPerOp > s1.NsPerOp*1.5 {
 			return fmt.Errorf("bench: 8-shard replay %.0f ns/op, over 1.5x the 1-shard's %.0f ns/op even allowing zero parallel win (%d cores)",
-				s8.Ns(), s1.Ns(), cores)
+				s8.NsPerOp, s1.NsPerOp, cores)
 		}
 	}
 	return nil
