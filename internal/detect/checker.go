@@ -62,7 +62,7 @@ func (a *Checker) Read(c *clock.VC, tid clock.TID, addr memmodel.Addr, site shad
 	e := c.Epoch(tid)
 
 	if w.ReadShared() {
-		if w.RVC.Get(tid) == e.Time() {
+		if a.mem.ReadVC(w).Get(tid) == e.Time() {
 			return // same-epoch read
 		}
 	} else if w.R == e {
@@ -75,7 +75,7 @@ func (a *Checker) Read(c *clock.VC, tid clock.TID, addr memmodel.Addr, site shad
 	}
 
 	if w.ReadShared() {
-		w.RecordSharedRead(tid, e.Time(), site)
+		a.mem.RecordSharedRead(w, tid, e.Time(), site)
 		return
 	}
 	if w.R == clock.NoEpoch || c.LeqEpoch(w.R) {
@@ -84,7 +84,7 @@ func (a *Checker) Read(c *clock.VC, tid clock.TID, addr memmodel.Addr, site shad
 	}
 	// Two concurrent readers: inflate to vector mode (pooled).
 	a.mem.Inflate(w, threads)
-	w.RecordSharedRead(tid, e.Time(), site)
+	a.mem.RecordSharedRead(w, tid, e.Time(), site)
 }
 
 // Write analyzes a write of addr by tid at static site against tid's clock c.
@@ -105,9 +105,9 @@ func (a *Checker) Write(c *clock.VC, tid clock.TID, addr memmodel.Addr, site sha
 		// ForEach visits nonzero components in ascending tid order — the
 		// same components, in the same order, as the dense index loop it
 		// replaced, so race reports are representation-independent.
-		w.RVC.ForEach(func(t clock.TID, rt clock.Time) {
+		a.mem.ReadVC(w).ForEach(func(t clock.TID, rt clock.Time) {
 			if rt > c.Get(t) {
-				a.report(Race{Addr: addr, PrevSite: w.RSiteOf(t), CurSite: site,
+				a.report(Race{Addr: addr, PrevSite: a.mem.RSiteOf(w, t), CurSite: site,
 					PrevWrite: false, CurWrite: true, PrevTID: t, CurTID: tid})
 			}
 		})
@@ -117,8 +117,8 @@ func (a *Checker) Write(c *clock.VC, tid clock.TID, addr memmodel.Addr, site sha
 	}
 	// FastTrack write-clears-reads: any later access ordered after this
 	// write is ordered after all reads it superseded; any unordered later
-	// access will race with this write instead. The released read vector
-	// goes back to the memory's pool.
+	// access will race with this write instead. The released read-shared
+	// slot goes back to the memory's free list.
 	w.W, w.WSite = e, site
 	a.mem.ClearReads(w)
 }

@@ -72,7 +72,7 @@ func (d *refDetector) read(tid clock.TID, addr memmodel.Addr, site shadow.SiteID
 	w := d.mem.Word(addr)
 	e := c.Epoch(tid)
 	if w.ReadShared() {
-		if w.RVC.Get(tid) == e.Time() {
+		if d.mem.ReadVC(w).Get(tid) == e.Time() {
 			return
 		}
 	} else if w.R == e {
@@ -83,7 +83,7 @@ func (d *refDetector) read(tid clock.TID, addr memmodel.Addr, site shadow.SiteID
 			PrevWrite: true, CurWrite: false, PrevTID: w.W.TID(), CurTID: tid})
 	}
 	if w.ReadShared() {
-		w.RecordSharedRead(tid, e.Time(), site)
+		d.mem.RecordSharedRead(w, tid, e.Time(), site)
 		return
 	}
 	if w.R == clock.NoEpoch || c.LeqEpoch(w.R) {
@@ -91,7 +91,7 @@ func (d *refDetector) read(tid clock.TID, addr memmodel.Addr, site shadow.SiteID
 		return
 	}
 	d.mem.Inflate(w, len(d.threads))
-	w.RecordSharedRead(tid, e.Time(), site)
+	d.mem.RecordSharedRead(w, tid, e.Time(), site)
 }
 
 func (d *refDetector) write(tid clock.TID, addr memmodel.Addr, site shadow.SiteID) {
@@ -107,10 +107,11 @@ func (d *refDetector) write(tid clock.TID, addr memmodel.Addr, site shadow.SiteI
 			PrevWrite: true, CurWrite: true, PrevTID: w.W.TID(), CurTID: tid})
 	}
 	if w.ReadShared() {
-		for t := clock.TID(0); int(t) < w.RVC.Len(); t++ {
-			rt := w.RVC.Get(t)
+		rvc := d.mem.ReadVC(w)
+		for t := clock.TID(0); int(t) < rvc.Len(); t++ {
+			rt := rvc.Get(t)
 			if rt > 0 && rt > c.Get(t) {
-				d.report(Race{Addr: addr, PrevSite: w.RSiteOf(t), CurSite: site,
+				d.report(Race{Addr: addr, PrevSite: d.mem.RSiteOf(w, t), CurSite: site,
 					PrevWrite: false, CurWrite: true, PrevTID: t, CurTID: tid})
 			}
 		}
@@ -188,7 +189,7 @@ func TestDetectorMatchesReference(t *testing.T) {
 			}
 			if cw.ReadShared() {
 				for tid := clock.TID(0); tid < threads; tid++ {
-					if cw.RVC.Get(tid) != rw.RVC.Get(tid) || cw.RSiteOf(tid) != rw.RSiteOf(tid) {
+					if cur.mem.ReadVC(cw).Get(tid) != ref.mem.ReadVC(rw).Get(tid) || cur.mem.RSiteOf(cw, tid) != ref.mem.RSiteOf(rw, tid) {
 						t.Fatalf("seed %d: read vector mismatch at %#x tid %d", seed, uint64(a), tid)
 					}
 				}

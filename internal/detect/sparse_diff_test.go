@@ -121,7 +121,7 @@ func TestSparseMatchesRefDense256Threads(t *testing.T) {
 			}
 			if cw.ReadShared() {
 				for tid := clock.TID(0); tid < threads; tid++ {
-					if cw.RVC.Get(tid) != rw.RVC.Get(tid) || cw.RSiteOf(tid) != rw.RSiteOf(tid) {
+					if cur.mem.ReadVC(cw).Get(tid) != ref.mem.ReadVC(rw).Get(tid) || cur.mem.RSiteOf(cw, tid) != ref.mem.RSiteOf(rw, tid) {
 						t.Fatalf("seed %d: read vector mismatch at %#x tid %d", seed, uint64(a), tid)
 					}
 				}

@@ -29,7 +29,7 @@ func diffAddrs() []memmodel.Addr {
 	for i := 0; i < 8; i++ { // cross page-table pages
 		out = append(out, memmodel.Addr(uint64(i+1)<<20))
 	}
-	for i := 0; i < 8; i++ { // line index beyond maxDir*PageSize: far map
+	for i := 0; i < 8; i++ { // line index beyond MaxDirPages*PageSize: far map
 		out = append(out, memmodel.Addr(1<<40+uint64(i)<<memmodel.LineShift))
 	}
 	return out

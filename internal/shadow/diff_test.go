@@ -13,8 +13,9 @@ import (
 // both sides with the same randomized operation sequences and compare every
 // observable: Len, Peek, full word state, cell contents, eviction decisions.
 
-// wordsEqual compares the observable FastTrack state of two words.
-func wordsEqual(a, b *Word) bool {
+// wordsEqual compares the observable FastTrack state of two words, a held
+// by am and b by bm.
+func wordsEqual(am *Memory, a *Word, bm *MapMemory, b *Word) bool {
 	if a == nil || b == nil {
 		return a == nil && b == nil
 	}
@@ -25,12 +26,12 @@ func wordsEqual(a, b *Word) bool {
 		return false
 	}
 	if a.ReadShared() {
-		n := a.RVC.Len()
-		if m := b.RVC.Len(); m > n {
+		n := am.ReadVC(a).Len()
+		if m := bm.ReadVC(b).Len(); m > n {
 			n = m
 		}
 		for t := clock.TID(0); int(t) < n; t++ {
-			if a.RVC.Get(t) != b.RVC.Get(t) || a.RSiteOf(t) != b.RSiteOf(t) {
+			if am.ReadVC(a).Get(t) != bm.ReadVC(b).Get(t) || am.RSiteOf(a, t) != bm.RSiteOf(b, t) {
 				return false
 			}
 		}
@@ -48,8 +49,8 @@ func diffAddrs() []memmodel.Addr {
 	for i := 0; i < 8; i++ {
 		out = append(out, memmodel.Addr(uint64(i+1)<<(PageShift+3)))
 	}
-	// Granule index ≥ maxDir*PageSize: address beyond the flat directory.
-	far := memmodel.Addr(uint64(maxDir) << (PageShift + 3))
+	// Granule index ≥ MaxDirPages*PageSize: address beyond the flat directory.
+	far := memmodel.Addr(uint64(MaxDirPages) << (PageShift + 3))
 	for i := 0; i < 8; i++ {
 		out = append(out, far+memmodel.Addr(uint64(i)*memmodel.WordSize*512))
 	}
@@ -84,8 +85,8 @@ func TestPagedMemoryMatchesMapMemory(t *testing.T) {
 					t.Fatalf("seed %d op %d: shared-mode mismatch at %#x", seed, op, uint64(a))
 				}
 				if pw.ReadShared() {
-					pw.RecordSharedRead(tid, e.Time(), site)
-					rw.RecordSharedRead(tid, e.Time(), site)
+					paged.RecordSharedRead(pw, tid, e.Time(), site)
+					ref.RecordSharedRead(rw, tid, e.Time(), site)
 				}
 			case 4: // pure lookup, occasionally a reset
 				if rng.Intn(500) == 0 {
@@ -98,7 +99,7 @@ func TestPagedMemoryMatchesMapMemory(t *testing.T) {
 			t.Fatalf("seed %d: Len %d != %d", seed, paged.Len(), ref.Len())
 		}
 		for _, a := range addrs {
-			if !wordsEqual(paged.Peek(a), ref.Peek(a)) {
+			if !wordsEqual(paged, paged.Peek(a), ref, ref.Peek(a)) {
 				t.Fatalf("seed %d: Peek mismatch at %#x", seed, uint64(a))
 			}
 		}
@@ -194,7 +195,7 @@ func TestPageTableBasics(t *testing.T) {
 		t.Fatalf("Allocs = %d, want 1 (same page)", pt.Allocs())
 	}
 	*pt.Get(5 + PageSize) = 7 // second page
-	farGranule := uint64(maxDir)*PageSize + 3
+	farGranule := uint64(MaxDirPages)*PageSize + 3
 	*pt.Get(farGranule) = 9 // beyond the directory: far map
 	if pt.Allocs() != 3 {
 		t.Fatalf("Allocs = %d, want 3", pt.Allocs())
@@ -223,9 +224,9 @@ func TestMemoryPoolRecycles(t *testing.T) {
 	if st := m.Stats(); st.PoolMisses != 1 || st.PoolHits != 0 {
 		t.Fatalf("first inflate should miss the pool: %+v", st)
 	}
-	w.RecordSharedRead(2, 5, 11)
+	m.RecordSharedRead(w, 2, 5, 11)
 	m.ClearReads(w)
-	if w.RVC != nil || w.RSites != nil || w.R != clock.NoEpoch {
+	if w.ReadShared() || w.R != clock.NoEpoch {
 		t.Fatal("ClearReads left read state behind")
 	}
 	// Second inflation must come from the pool and start clean.
@@ -234,13 +235,13 @@ func TestMemoryPoolRecycles(t *testing.T) {
 	if st := m.Stats(); st.PoolHits != 1 {
 		t.Fatalf("second inflate should hit the pool: %+v", st)
 	}
-	if got := w.RVC.Get(2); got != 0 {
+	if got := m.ReadVC(w).Get(2); got != 0 {
 		t.Fatalf("pooled vector not cleared: component 2 = %d", got)
 	}
-	if got := w.RSiteOf(2); got != 0 {
+	if got := m.RSiteOf(w, 2); got != 0 {
 		t.Fatalf("pooled site slice not cleared: site 2 = %d", got)
 	}
-	if w.RVC.Get(0) != 2 || w.RSiteOf(0) != 4 {
+	if m.ReadVC(w).Get(0) != 2 || m.RSiteOf(w, 0) != 4 {
 		t.Fatal("pooled inflation did not seed the exclusive read epoch")
 	}
 }

@@ -20,12 +20,25 @@ const (
 
 	pageMask = PageSize - 1
 
-	// maxDir bounds the directory the fast path indexes directly: 1<<23
-	// pages cover 32 GiB of application address space. Granules beyond it
-	// (nothing the bump allocator produces, but the structure must not
-	// explode on a hostile address) fall back to a sparse map of pages.
-	maxDir = 1 << 23
+	// MaxDirPages bounds the directory the fast path indexes directly: 1<<16
+	// pages of granules cover the first 256 MiB of application address
+	// space, and the directory itself never exceeds 512 KiB. The workload
+	// builders and the frontend allocate upward from 1 MiB and stay well
+	// inside it. Pages beyond it (a hostile or corrupt address, say) fall
+	// back to a sparse map, so one access anywhere costs at most one page
+	// and one directory.
+	MaxDirPages = 1 << 16
 )
+
+// growDir returns dir extended to cover page d < MaxDirPages, at least
+// doubling its length so ascending first touches copy it O(log n) times.
+func growDir[P any](dir []*P, d uint64) []*P {
+	n := max(2*len(dir), int(d)+1)
+	n = min(n, MaxDirPages)
+	nd := make([]*P, n)
+	copy(nd, dir)
+	return nd
+}
 
 // PageTable is a two-level paged store of T keyed by granule index. The zero
 // value is an empty table. Pages are inline arrays of T allocated on first
@@ -33,7 +46,7 @@ const (
 // never moved or freed while reachable).
 type PageTable[T any] struct {
 	dir    []*[PageSize]T
-	far    map[uint64]*[PageSize]T // pages beyond maxDir, if any
+	far    map[uint64]*[PageSize]T // pages beyond MaxDirPages, if any
 	allocs uint64
 }
 
@@ -49,7 +62,7 @@ func (pt *PageTable[T]) Get(g uint64) *T {
 }
 
 func (pt *PageTable[T]) getSlow(g, d uint64) *T {
-	if d >= maxDir {
+	if d >= MaxDirPages {
 		if pt.far == nil {
 			pt.far = make(map[uint64]*[PageSize]T)
 		}
@@ -62,9 +75,7 @@ func (pt *PageTable[T]) getSlow(g, d uint64) *T {
 		return &pg[g&pageMask]
 	}
 	if d >= uint64(len(pt.dir)) {
-		nd := make([]*[PageSize]T, d+1)
-		copy(nd, pt.dir)
-		pt.dir = nd
+		pt.dir = growDir(pt.dir, d)
 	}
 	pg := new([PageSize]T)
 	pt.dir[d] = pg

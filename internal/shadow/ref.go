@@ -16,6 +16,7 @@ import (
 // Word per touched granule, found by hashing. Reference implementation only.
 type MapMemory struct {
 	words map[uint64]*Word
+	reads readSets
 }
 
 // NewMapMemory returns an empty map-backed shadow memory.
@@ -39,14 +40,40 @@ func (m *MapMemory) Peek(a memmodel.Addr) *Word { return m.words[memmodel.WordOf
 func (m *MapMemory) Len() int { return len(m.words) }
 
 // Reset discards all state.
-func (m *MapMemory) Reset() { m.words = make(map[uint64]*Word) }
+func (m *MapMemory) Reset() {
+	m.words = make(map[uint64]*Word)
+	m.reads = readSets{}
+}
 
-// Inflate mirrors Memory.Inflate without pooling.
-func (m *MapMemory) Inflate(w *Word, threads int) { w.Inflate(threads) }
+// Inflate mirrors Memory.Inflate without recycling: every inflation
+// allocates a fresh vector and site slice in a new slot.
+func (m *MapMemory) Inflate(w *Word, threads int) {
+	if w.slot != 0 {
+		return
+	}
+	w.slot = m.reads.add(readSet{vc: clock.New(threads), sites: make([]SiteID, threads)})
+	m.reads.seed(w)
+}
 
-// ClearReads mirrors Memory.ClearReads without pooling.
+// ReadVC mirrors Memory.ReadVC.
+func (m *MapMemory) ReadVC(w *Word) *clock.VC { return m.reads.at(w.slot).vc }
+
+// RecordSharedRead mirrors Memory.RecordSharedRead.
+func (m *MapMemory) RecordSharedRead(w *Word, tid clock.TID, t clock.Time, site SiteID) {
+	m.reads.record(w, tid, t, site)
+}
+
+// RSiteOf mirrors Memory.RSiteOf.
+func (m *MapMemory) RSiteOf(w *Word, tid clock.TID) SiteID { return m.reads.siteOf(w, tid) }
+
+// ClearReads mirrors Memory.ClearReads; the released slot is dropped, never
+// reused.
 func (m *MapMemory) ClearReads(w *Word) {
-	w.R, w.RVC, w.RSites = clock.NoEpoch, nil, nil
+	w.R = clock.NoEpoch
+	if w.slot != 0 {
+		*m.reads.at(w.slot) = readSet{}
+		w.slot = 0
+	}
 }
 
 // MapCellStore is the original map-of-slices bounded store. It draws

@@ -31,62 +31,91 @@ import (
 // matching the paper's counting of static race instances (§8.3).
 type SiteID uint32
 
-// Word is the FastTrack state for one 8-byte granule. Fields are ordered to
-// pack the struct into 64 bytes, so a 512-granule page is 32 KiB of inline
-// state.
+// Word is the FastTrack state for one 8-byte granule: 32 bytes with no
+// pointers, so a 512-granule page is 16 KiB of memory the garbage collector
+// never scans.
 type Word struct {
 	// W is the epoch of the last write.
 	W clock.Epoch
 	// Reads are adaptive: while all reads are totally ordered, only the
-	// epoch R/RSite is kept. Once two unordered reads are seen, the state
-	// inflates to the vector RVC with per-thread sites in RSites.
-	R      clock.Epoch
-	RVC    *clock.VC
-	RSites []SiteID
+	// epoch R/RSite is kept. Once two unordered reads are seen, the word
+	// inflates: its read vector and per-thread read sites live in a slot of
+	// the owning store's side table (see Memory.Inflate).
+	R clock.Epoch
 	// WSite and RSite are the static sites of the last write and last
 	// (exclusive-mode) read.
 	WSite SiteID
 	RSite SiteID
+	// slot is the 1-based index of the word's read-shared state in its
+	// store's side table; 0 means exclusive mode.
+	slot uint32
 	// used marks granules that have been handed out by Memory.Word; inline
 	// page storage needs it to preserve the map semantics of Len and Peek.
 	used bool
 }
 
 // ReadShared reports whether the word is in vector (read-shared) mode.
-func (w *Word) ReadShared() bool { return w.RVC != nil }
+func (w *Word) ReadShared() bool { return w.slot != 0 }
 
-// Inflate switches the word to read-shared mode, seeding the vector with the
-// existing read epoch. Memory.Inflate is the pooled variant the detector hot
-// path uses; this allocation form remains for reference implementations and
-// direct Word use.
-func (w *Word) Inflate(threads int) {
-	if w.RVC != nil {
-		return
-	}
-	w.RVC = clock.New(threads)
-	w.RSites = make([]SiteID, threads)
-	w.seedReadVector()
+// readSet is one read-shared word's side-table entry: the read vector and
+// the site of each thread's last read.
+type readSet struct {
+	vc    *clock.VC
+	sites []SiteID
 }
 
-// seedReadVector carries the exclusive-mode read epoch into the vector.
-func (w *Word) seedReadVector() {
+// readChunk is the side table's growth unit: slots live in fixed chunks, so
+// growing the table never copies the slots already handed out. A trace
+// whose words are mostly read-shared keeps one slot per shadow word.
+const readChunk = 128
+
+// readSets is a side table of read-shared state indexed by Word.slot-1.
+// Memory and MapMemory both keep one; only Memory recycles freed slots.
+type readSets struct {
+	chunks []*[readChunk]readSet
+	n      uint32
+}
+
+// at returns the entry of a nonzero slot.
+func (rs *readSets) at(slot uint32) *readSet {
+	i := slot - 1
+	return &rs.chunks[i/readChunk][i%readChunk]
+}
+
+// add stores s in a new slot and returns the slot.
+func (rs *readSets) add(s readSet) uint32 {
+	if rs.n%readChunk == 0 {
+		rs.chunks = append(rs.chunks, new([readChunk]readSet))
+	}
+	rs.n++
+	*rs.at(rs.n) = s
+	return rs.n
+}
+
+// seed carries w's exclusive-mode read epoch into its fresh read set.
+func (rs *readSets) seed(w *Word) {
 	if w.R != clock.NoEpoch {
-		w.RVC.Set(w.R.TID(), w.R.Time())
-		w.setRSite(w.R.TID(), w.RSite)
+		rs.record(w, w.R.TID(), w.R.Time(), w.RSite)
 	}
 }
 
-// RecordSharedRead stores a read at tid/site in read-shared mode.
-func (w *Word) RecordSharedRead(tid clock.TID, t clock.Time, site SiteID) {
-	w.RVC.Set(tid, t)
-	w.setRSite(tid, site)
+// record stores a read at tid/site in w's read set.
+func (rs *readSets) record(w *Word, tid clock.TID, t clock.Time, site SiteID) {
+	s := rs.at(w.slot)
+	s.vc.Set(tid, t)
+	if int(tid) >= len(s.sites) {
+		s.sites = growSites(s.sites, int(tid)+1)
+	}
+	s.sites[tid] = site
 }
 
-func (w *Word) setRSite(tid clock.TID, site SiteID) {
-	if int(tid) >= len(w.RSites) {
-		w.RSites = growSites(w.RSites, int(tid)+1)
+// siteOf returns the site of tid's last read in w's read set.
+func (rs *readSets) siteOf(w *Word, tid clock.TID) SiteID {
+	sites := rs.at(w.slot).sites
+	if int(tid) >= len(sites) {
+		return 0
 	}
-	w.RSites[tid] = site
+	return sites[tid]
 }
 
 // growSites extends s to length n in one step, reusing capacity when a
@@ -105,24 +134,17 @@ func growSites(s []SiteID, n int) []SiteID {
 	return ns
 }
 
-// RSiteOf returns the site of tid's last read in read-shared mode.
-func (w *Word) RSiteOf(tid clock.TID) SiteID {
-	if int(tid) >= len(w.RSites) {
-		return 0
-	}
-	return w.RSites[tid]
-}
-
 // Memory maps 8-byte granules to FastTrack state, created on first touch.
 // State lives inline in pages: the common access is two array indexes and
-// allocates nothing. Read vectors released by write-clears-reads are pooled
-// and reused by later inflations.
+// allocates nothing. Read-shared state lives in a side table of slots;
+// slots released by write-clears-reads keep their vector and site slice and
+// are reused, last freed first, by later inflations.
 type Memory struct {
 	pt    PageTable[Word]
 	count int
 
-	freeVCs   []*clock.VC
-	freeSites [][]SiteID
+	reads     readSets
+	freeSlots []uint32
 	poolHits  uint64
 	poolMiss  uint64
 
@@ -171,45 +193,57 @@ func (m *Memory) Len() int { return m.count }
 func (m *Memory) Reset() {
 	m.pt.Reset()
 	m.count = 0
-	m.freeVCs = nil
-	m.freeSites = nil
+	m.reads = readSets{}
+	m.freeSlots = nil
 }
 
-// Inflate switches w to read-shared mode, drawing the vector and site slice
-// from the free list when one is available.
+// Inflate switches w to read-shared mode, seeding the vector with the
+// existing read epoch. The slot comes from the free list when one is
+// available.
 func (m *Memory) Inflate(w *Word, threads int) {
-	if w.RVC != nil {
+	if w.slot != 0 {
 		return
 	}
-	if n := len(m.freeVCs); n > 0 {
+	if n := len(m.freeSlots); n > 0 {
 		m.poolHits++
-		w.RVC = m.freeVCs[n-1]
-		m.freeVCs = m.freeVCs[:n-1]
-		w.RVC.Clear(threads)
-		w.RSites = growSites(m.freeSites[n-1][:0], threads)
-		m.freeSites = m.freeSites[:n-1]
+		w.slot = m.freeSlots[n-1]
+		m.freeSlots = m.freeSlots[:n-1]
+		s := m.reads.at(w.slot)
+		s.vc.Clear(threads)
+		s.sites = growSites(s.sites[:0], threads)
 	} else {
 		m.poolMiss++
+		var vc *clock.VC
 		if m.vcStats != nil {
-			w.RVC = clock.NewSparse(m.vcStats)
-			w.RVC.Clear(threads) // records the span for the promotion ratio
+			vc = clock.NewSparse(m.vcStats)
+			vc.Clear(threads) // records the span for the promotion ratio
 		} else {
-			w.RVC = clock.New(threads)
+			vc = clock.New(threads)
 		}
-		w.RSites = make([]SiteID, threads)
+		w.slot = m.reads.add(readSet{vc: vc, sites: make([]SiteID, threads)})
 	}
-	w.seedReadVector()
+	m.reads.seed(w)
 }
 
+// ReadVC returns the read vector of a read-shared word. It is valid until
+// the word's reads are cleared.
+func (m *Memory) ReadVC(w *Word) *clock.VC { return m.reads.at(w.slot).vc }
+
+// RecordSharedRead stores a read at tid/site in a read-shared word.
+func (m *Memory) RecordSharedRead(w *Word, tid clock.TID, t clock.Time, site SiteID) {
+	m.reads.record(w, tid, t, site)
+}
+
+// RSiteOf returns the site of tid's last read in a read-shared word.
+func (m *Memory) RSiteOf(w *Word, tid clock.TID) SiteID { return m.reads.siteOf(w, tid) }
+
 // ClearReads applies FastTrack's write-clears-reads transition, returning an
-// inflated word's vector and site slice to the free list for reuse.
+// inflated word's slot to the free list for reuse.
 func (m *Memory) ClearReads(w *Word) {
 	w.R = clock.NoEpoch
-	if w.RVC != nil {
-		m.freeVCs = append(m.freeVCs, w.RVC)
-		m.freeSites = append(m.freeSites, w.RSites)
-		w.RVC = nil
-		w.RSites = nil
+	if w.slot != 0 {
+		m.freeSlots = append(m.freeSlots, w.slot)
+		w.slot = 0
 	}
 }
 
@@ -218,8 +252,8 @@ func (m *Memory) ClearReads(w *Word) {
 type MemStats struct {
 	// Pages is the cumulative number of shadow pages allocated.
 	Pages uint64
-	// PoolHits and PoolMisses count read-vector inflations served from the
-	// free list vs freshly allocated.
+	// PoolHits and PoolMisses count inflations served from a freed slot vs
+	// a freshly allocated one.
 	PoolHits, PoolMisses uint64
 }
 
@@ -281,7 +315,7 @@ func (s *CellStore) page(d uint64, alloc bool) *cellPage {
 		if pg := s.dir[d]; pg != nil {
 			return pg
 		}
-	} else if d >= maxDir {
+	} else if d >= MaxDirPages {
 		if pg := s.far[d]; pg != nil || !alloc {
 			return pg
 		}
@@ -297,9 +331,7 @@ func (s *CellStore) page(d uint64, alloc bool) *cellPage {
 		return nil
 	}
 	if d >= uint64(len(s.dir)) {
-		nd := make([]*cellPage, d+1)
-		copy(nd, s.dir)
-		s.dir = nd
+		s.dir = growDir(s.dir, d)
 	}
 	pg := &cellPage{cells: make([]Cell, cellPageSize*s.n)}
 	s.dir[d] = pg

@@ -35,32 +35,35 @@ func TestPeek(t *testing.T) {
 }
 
 func TestInflate(t *testing.T) {
-	w := &Word{R: clock.MakeEpoch(2, 5), RSite: 42}
-	w.Inflate(4)
+	m := NewMemory()
+	w := m.Word(0x40)
+	w.R, w.RSite = clock.MakeEpoch(2, 5), 42
+	m.Inflate(w, 4)
 	if !w.ReadShared() {
 		t.Fatal("not read-shared after inflate")
 	}
-	if w.RVC.Get(2) != 5 {
-		t.Fatalf("seed read epoch lost: %v", w.RVC)
+	if m.ReadVC(w).Get(2) != 5 {
+		t.Fatalf("seed read epoch lost: %v", m.ReadVC(w))
 	}
-	if w.RSiteOf(2) != 42 {
-		t.Fatalf("seed read site lost: %d", w.RSiteOf(2))
+	if m.RSiteOf(w, 2) != 42 {
+		t.Fatalf("seed read site lost: %d", m.RSiteOf(w, 2))
 	}
 	// Idempotent.
-	w.Inflate(4)
-	if w.RVC.Get(2) != 5 {
+	m.Inflate(w, 4)
+	if m.ReadVC(w).Get(2) != 5 {
 		t.Fatal("second inflate clobbered state")
 	}
 }
 
 func TestRecordSharedRead(t *testing.T) {
-	w := &Word{}
-	w.Inflate(2)
-	w.RecordSharedRead(5, 9, 77) // beyond initial size: must grow
-	if w.RVC.Get(5) != 9 || w.RSiteOf(5) != 77 {
+	m := NewMemory()
+	w := m.Word(0x40)
+	m.Inflate(w, 2)
+	m.RecordSharedRead(w, 5, 9, 77) // beyond initial size: must grow
+	if m.ReadVC(w).Get(5) != 9 || m.RSiteOf(w, 5) != 77 {
 		t.Fatal("shared read not recorded")
 	}
-	if w.RSiteOf(9) != 0 {
+	if m.RSiteOf(w, 9) != 0 {
 		t.Fatal("unknown tid must read zero site")
 	}
 }
@@ -148,9 +151,9 @@ func TestPoolRecyclingNeverLeaksSparseEntries(t *testing.T) {
 	a := m.Word(0x100)
 	m.Inflate(a, 1024)
 	for tid := clock.TID(0); tid < 1024; tid += 3 {
-		a.RecordSharedRead(tid, clock.Time(tid)+1, SiteID(tid%50+1))
+		m.RecordSharedRead(a, tid, clock.Time(tid)+1, SiteID(tid%50+1))
 	}
-	if a.RVC.Sparse() {
+	if m.ReadVC(a).Sparse() {
 		t.Fatal("setup: a wide read vector should have promoted to dense")
 	}
 	// Write-clears-reads returns the vector to the pool.
@@ -163,7 +166,7 @@ func TestPoolRecyclingNeverLeaksSparseEntries(t *testing.T) {
 	if got := m.Stats().PoolHits; got != 1 {
 		t.Fatalf("expected a pool hit, stats %+v", m.Stats())
 	}
-	if !b.RVC.Sparse() {
+	if !m.ReadVC(b).Sparse() {
 		t.Fatal("recycled clock must come back in sparse form")
 	}
 	for tid := clock.TID(0); tid < 1100; tid++ {
@@ -171,10 +174,10 @@ func TestPoolRecyclingNeverLeaksSparseEntries(t *testing.T) {
 		if tid == 2 {
 			want = 7 // the seeded exclusive-read epoch
 		}
-		if got := b.RVC.Get(tid); got != want {
+		if got := m.ReadVC(b).Get(tid); got != want {
 			t.Fatalf("stale entry leaked: recycled RVC.Get(%d) = %d, want %d", tid, got, want)
 		}
-		if tid != 2 && b.RSiteOf(tid) != 0 {
+		if tid != 2 && m.RSiteOf(b, tid) != 0 {
 			t.Fatalf("stale site leaked at tid %d", tid)
 		}
 	}

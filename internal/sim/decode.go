@@ -8,11 +8,12 @@ import (
 
 // The engine compiles each thread body once into a decoded instruction
 // stream: a flat []dinstr with an opcode per instruction, the operands the
-// interpreter needs pulled out of the IR nodes, synchronization objects
-// pre-resolved to direct pointers (no per-step table lookup), and loop bodies
-// decoded recursively so a loop push is a slice reference. exec then
-// dispatches through a fixed opcode jump table — no interface type switch,
-// no per-step allocation. The tree-walk interpreter over the raw IR is kept
+// interpreter needs pulled out of the IR nodes, and loop bodies decoded
+// recursively so a loop push is a slice reference. Synchronization objects
+// are interned at decode and looked up by id at execution: the engine's
+// sync tables are presized at Run, so the lookup is an inlined index. exec
+// then dispatches through a fixed opcode jump table — no interface type
+// switch, no per-step allocation. The tree-walk interpreter over the raw IR is kept
 // behind Config.RefWalk as the reference semantics; the package's
 // differential tests pin the two to identical results.
 type opcode uint8
@@ -44,10 +45,11 @@ const (
 	opCount
 )
 
-// dinstr is one decoded instruction. Exactly the fields its opcode needs are
-// populated; the rest stay zero. ref keeps the original IR node because the
-// Runtime hook interface (Access, Atomic, SyscallEvent, the Tx/LoopCheck
-// marks) is defined over IR pointers and must not change.
+// dinstr is one decoded instruction, 120 bytes. Exactly the fields its
+// opcode needs are populated; the rest stay zero. ref keeps the original IR
+// node because the Runtime hook interface (Access, Atomic, SyscallEvent, the
+// Tx/LoopCheck marks) is defined over IR pointers and must not change; for
+// opLoop it is the *Loop the frame records.
 type dinstr struct {
 	op     opcode
 	write  bool   // opAccess
@@ -59,15 +61,6 @@ type dinstr struct {
 
 	addr AddrExpr // opAccess, opAtomic
 
-	// Pre-resolved synchronization state. Resolving at decode time also
-	// interns the objects, so the hot path never grows a table.
-	mu *mutex   // opLock, opUnlock, opCondWait (paired mutex)
-	rw *rwlock  // opRLock, opRUnlock, opWLock, opWUnlock
-	sm *sem     // opSignal, opWait
-	cv *cond    // opCondWait, opCondSignal, opCondBroadcast
-	br *barrier // opBarrier
-
-	loop *Loop    // opLoop: the IR node (frame bookkeeping, LoopIter)
 	code []dinstr // opLoop: decoded body
 	ref  Instr    // original instruction, handed to Runtime hooks
 }
@@ -96,6 +89,8 @@ func (e *Engine) decodeBody(body []Instr) []dinstr {
 	return d
 }
 
+// decode compiles body. Each sync object is interned here, so execution
+// never grows a sync table.
 func (e *Engine) decode(body []Instr) []dinstr {
 	out := make([]dinstr, len(body))
 	for i, in := range body {
@@ -116,34 +111,45 @@ func (e *Engine) decode(body []Instr) []dinstr {
 			d.cycles = in.Max
 		case *Loop:
 			d.op = opLoop
-			d.loop = in
 			d.n = int32(in.Count)
 			d.code = e.decode(in.Body)
 		case *Lock:
-			d.op, d.id, d.mu = opLock, in.M, e.mutexOf(in.M)
+			d.op, d.id = opLock, in.M
+			e.mutexOf(in.M)
 		case *Unlock:
-			d.op, d.id, d.mu = opUnlock, in.M, e.mutexOf(in.M)
+			d.op, d.id = opUnlock, in.M
+			e.mutexOf(in.M)
 		case *RLock:
-			d.op, d.id, d.rw = opRLock, in.M, e.rwlockOf(in.M)
+			d.op, d.id = opRLock, in.M
+			e.rwlockOf(in.M)
 		case *RUnlock:
-			d.op, d.id, d.rw = opRUnlock, in.M, e.rwlockOf(in.M)
+			d.op, d.id = opRUnlock, in.M
+			e.rwlockOf(in.M)
 		case *WLock:
-			d.op, d.id, d.rw = opWLock, in.M, e.rwlockOf(in.M)
+			d.op, d.id = opWLock, in.M
+			e.rwlockOf(in.M)
 		case *WUnlock:
-			d.op, d.id, d.rw = opWUnlock, in.M, e.rwlockOf(in.M)
+			d.op, d.id = opWUnlock, in.M
+			e.rwlockOf(in.M)
 		case *Signal:
-			d.op, d.id, d.sm = opSignal, in.C, e.semOf(in.C)
+			d.op, d.id = opSignal, in.C
+			e.semOf(in.C)
 		case *Wait:
-			d.op, d.id, d.sm = opWait, in.C, e.semOf(in.C)
+			d.op, d.id = opWait, in.C
+			e.semOf(in.C)
 		case *CondWait:
 			d.op, d.id, d.id2 = opCondWait, in.C, in.M
-			d.cv, d.mu = e.condOf(in.C), e.mutexOf(in.M)
+			e.condOf(in.C)
+			e.mutexOf(in.M)
 		case *CondSignal:
-			d.op, d.id, d.cv = opCondSignal, in.C, e.condOf(in.C)
+			d.op, d.id = opCondSignal, in.C
+			e.condOf(in.C)
 		case *CondBroadcast:
-			d.op, d.id, d.cv = opCondBroadcast, in.C, e.condOf(in.C)
+			d.op, d.id = opCondBroadcast, in.C
+			e.condOf(in.C)
 		case *Barrier:
-			d.op, d.id, d.br = opBarrier, in.B, e.barrierOf(in.B)
+			d.op, d.id = opBarrier, in.B
+			e.barrierOf(in.B)
 			d.n = int32(in.N)
 		case *Syscall:
 			d.op = opSyscall
@@ -277,12 +283,12 @@ func execLoop(e *Engine, t *Thread, d *dinstr) bool {
 	if d.n <= 0 {
 		return true
 	}
-	t.frames = append(t.frames, frame{code: d.code, loop: d.loop})
+	t.frames = append(t.frames, frame{code: d.code, loop: d.ref.(*Loop)})
 	return true
 }
 
 func execLock(e *Engine, t *Thread, d *dinstr) bool {
-	m := d.mu
+	m := e.mutexOf(d.id)
 	if m.owner == nil {
 		m.owner = t
 		e.charge(t, e.cfg.Cost.LockOp)
@@ -296,7 +302,7 @@ func execLock(e *Engine, t *Thread, d *dinstr) bool {
 }
 
 func execUnlock(e *Engine, t *Thread, d *dinstr) bool {
-	m := d.mu
+	m := e.mutexOf(d.id)
 	if m.owner != t {
 		e.programError(t, "unlock", d.id, "unlocks a mutex it does not own")
 	}
@@ -313,7 +319,7 @@ func execUnlock(e *Engine, t *Thread, d *dinstr) bool {
 }
 
 func execRLock(e *Engine, t *Thread, d *dinstr) bool {
-	l := d.rw
+	l := e.rwlockOf(d.id)
 	if l.writer == nil {
 		l.readers++
 		e.charge(t, e.cfg.Cost.LockOp)
@@ -327,7 +333,7 @@ func execRLock(e *Engine, t *Thread, d *dinstr) bool {
 }
 
 func execRUnlock(e *Engine, t *Thread, d *dinstr) bool {
-	l := d.rw
+	l := e.rwlockOf(d.id)
 	if l.readers <= 0 {
 		e.programError(t, "read-unlock", d.id, "read-unlocks an rwlock it does not hold")
 	}
@@ -340,7 +346,7 @@ func execRUnlock(e *Engine, t *Thread, d *dinstr) bool {
 }
 
 func execWLock(e *Engine, t *Thread, d *dinstr) bool {
-	l := d.rw
+	l := e.rwlockOf(d.id)
 	if l.writer == nil && l.readers == 0 {
 		l.writer = t
 		e.charge(t, e.cfg.Cost.LockOp)
@@ -354,7 +360,7 @@ func execWLock(e *Engine, t *Thread, d *dinstr) bool {
 }
 
 func execWUnlock(e *Engine, t *Thread, d *dinstr) bool {
-	l := d.rw
+	l := e.rwlockOf(d.id)
 	if l.writer != t {
 		e.programError(t, "write-unlock", d.id, "write-unlocks an rwlock it does not own")
 	}
@@ -367,7 +373,7 @@ func execWUnlock(e *Engine, t *Thread, d *dinstr) bool {
 }
 
 func execSignal(e *Engine, t *Thread, d *dinstr) bool {
-	s := d.sm
+	s := e.semOf(d.id)
 	s.count++
 	e.charge(t, e.cfg.Cost.SignalOp)
 	e.res.SyncOps++
@@ -381,7 +387,7 @@ func execSignal(e *Engine, t *Thread, d *dinstr) bool {
 }
 
 func execWait(e *Engine, t *Thread, d *dinstr) bool {
-	s := d.sm
+	s := e.semOf(d.id)
 	if s.count > 0 {
 		s.count--
 		e.charge(t, e.cfg.Cost.WaitOp)
@@ -395,7 +401,7 @@ func execWait(e *Engine, t *Thread, d *dinstr) bool {
 }
 
 func execCondWait(e *Engine, t *Thread, d *dinstr) bool {
-	cv, m := d.cv, d.mu
+	cv, m := e.condOf(d.id), e.mutexOf(d.id2)
 	if !t.condWaiting {
 		if m.owner != t {
 			e.programError(t, "cond-wait", d.id2, "cond-waits without holding the mutex")
@@ -429,7 +435,7 @@ func execCondWait(e *Engine, t *Thread, d *dinstr) bool {
 }
 
 func execCondSignal(e *Engine, t *Thread, d *dinstr) bool {
-	cv := d.cv
+	cv := e.condOf(d.id)
 	e.charge(t, e.cfg.Cost.SignalOp)
 	e.res.SyncOps++
 	e.rt.SyncRelease(t, d.id, SyncSem)
@@ -442,7 +448,7 @@ func execCondSignal(e *Engine, t *Thread, d *dinstr) bool {
 }
 
 func execCondBroadcast(e *Engine, t *Thread, d *dinstr) bool {
-	cv := d.cv
+	cv := e.condOf(d.id)
 	e.charge(t, e.cfg.Cost.SignalOp)
 	e.res.SyncOps++
 	e.rt.SyncRelease(t, d.id, SyncSem)
@@ -457,7 +463,7 @@ func execBarrier(e *Engine, t *Thread, d *dinstr) bool {
 	if d.n <= 0 {
 		e.programError(t, "barrier", d.id, fmt.Sprintf("has non-positive width %d", d.n))
 	}
-	b := d.br
+	b := e.barrierOf(d.id)
 	if !t.barrierArrived {
 		t.barrierArrived = true
 		e.charge(t, e.cfg.Cost.BarrierOp)

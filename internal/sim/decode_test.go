@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"repro/internal/memmodel"
 	"repro/internal/prng"
@@ -308,5 +309,14 @@ func TestDecodeMemoizesSharedBodies(t *testing.T) {
 	// Shared worker body (2) decoded once + main's spawn/join wrapper (2).
 	if e.decodedInstrs != 4 {
 		t.Fatalf("decodedInstrs = %d, want 4 (shared bodies must decode once)", e.decodedInstrs)
+	}
+}
+
+// TestDinstrLayout pins the decoded instruction at 120 bytes or less. Every
+// thread body decodes to a []dinstr per run, so each field costs the whole
+// stream; sync objects are looked up by id and a loop's *Loop is its ref.
+func TestDinstrLayout(t *testing.T) {
+	if got := unsafe.Sizeof(dinstr{}); got > 120 {
+		t.Fatalf("sizeof(dinstr) = %d, want <= 120", got)
 	}
 }

@@ -15,8 +15,20 @@ type syncTable[T any] struct {
 	sparse map[SyncID]*T
 }
 
-// get returns the state for id, allocating a zero value on first use.
+// get returns the state for id, allocating a zero value on first use. The
+// interned case is a bounds check and an index, small enough to inline into
+// the interpreters' sync instructions.
 func (st *syncTable[T]) get(id SyncID) *T {
+	if int(id) < len(st.dense) {
+		if v := st.dense[id]; v != nil {
+			return v
+		}
+	}
+	return st.intern(id)
+}
+
+// intern creates the state for id on first use.
+func (st *syncTable[T]) intern(id SyncID) *T {
 	if id < denseSyncLimit {
 		if int(id) >= len(st.dense) {
 			nd := make([]*T, int(id)+1)
