@@ -47,14 +47,23 @@ func main() {
 	if *shards < 1 {
 		fatal(fmt.Errorf("-shards must be >= 1, got %d", *shards))
 	}
+	if *shards > server.MaxShards {
+		fatal(fmt.Errorf("-shards must be <= %d, got %d", server.MaxShards, *shards))
+	}
 	if *workers < 0 {
 		fatal(fmt.Errorf("-workers must be >= 0 (0 = one per shard), got %d", *workers))
 	}
 	if *batch < 1 {
 		fatal(fmt.Errorf("-batch must be >= 1, got %d", *batch))
 	}
+	if *batch > server.MaxBatchSize {
+		fatal(fmt.Errorf("-batch must be <= %d, got %d", server.MaxBatchSize, *batch))
+	}
 	if *queue < 1 {
 		fatal(fmt.Errorf("-queue must be >= 1, got %d", *queue))
+	}
+	if *queue > server.MaxQueueBatches {
+		fatal(fmt.Errorf("-queue must be <= %d, got %d", server.MaxQueueBatches, *queue))
 	}
 	if *clients < 1 {
 		fatal(fmt.Errorf("-clients must be >= 1, got %d", *clients))

@@ -28,6 +28,9 @@ func TestRejectsBadInvocations(t *testing.T) {
 		{"workers-negative", []string{"-listen", "127.0.0.1:0", "-workers", "-1"}, "-workers must be >= 0"},
 		{"batch-0", []string{"-listen", "127.0.0.1:0", "-batch", "0"}, "-batch must be >= 1, got 0"},
 		{"queue-0", []string{"-listen", "127.0.0.1:0", "-queue", "0"}, "-queue must be >= 1, got 0"},
+		{"shards-over-cap", []string{"-shards", "1025"}, "-shards must be <= 1024, got 1025"},
+		{"batch-over-cap", []string{"-batch", "65537"}, "-batch must be <= 65536, got 65537"},
+		{"queue-over-cap", []string{"-queue", "1025"}, "-queue must be <= 1024, got 1025"},
 		{"clients-0", []string{"-connect", "127.0.0.1:1", "-in", missing, "-clients", "0"}, "-clients must be >= 1, got 0"},
 		{"connect-without-in", []string{"-connect", "127.0.0.1:1"}, "client mode needs -in"},
 		{"missing-in-file", []string{"-connect", "127.0.0.1:1", "-in", missing}, "no such file or directory"},

@@ -49,6 +49,9 @@ func main() {
 	if *shards < 1 {
 		fatal(fmt.Errorf("-shards must be >= 1, got %d", *shards))
 	}
+	if *shards > server.MaxShards {
+		fatal(fmt.Errorf("-shards must be <= %d, got %d", server.MaxShards, *shards))
+	}
 
 	switch {
 	case *app != "":

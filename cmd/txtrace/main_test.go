@@ -111,3 +111,40 @@ func TestAnalyzeRejectsCorruptTraces(t *testing.T) {
 		t.Fatalf("analyze output missing detector line:\n%s", out)
 	}
 }
+
+// TestRejectsBadShards pins the -shards range: below 1 or above
+// server.MaxShards exits 1 with one stderr line naming the bound, before
+// any trace is read or recorded, so nothing is sized from the value.
+func TestRejectsBadShards(t *testing.T) {
+	bin := buildTxtrace(t)
+	cases := []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"shards-0", []string{"-shards", "0"}, "-shards must be >= 1, got 0"},
+		{"shards-over-cap", []string{"-shards", "1025"}, "-shards must be <= 1024, got 1025"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cmd := exec.Command(bin, tc.args...)
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			err := cmd.Run()
+			ee, ok := err.(*exec.ExitError)
+			if !ok || ee.ExitCode() != 1 {
+				t.Fatalf("exit = %v, want exit code 1\nstderr: %s", err, stderr.String())
+			}
+			msg := strings.TrimSuffix(stderr.String(), "\n")
+			if strings.ContainsRune(msg, '\n') {
+				t.Fatalf("stderr is not one line:\n%s", stderr.String())
+			}
+			if !strings.HasPrefix(msg, "txtrace: ") || !strings.Contains(msg, tc.want) {
+				t.Fatalf("stderr %q, want a txtrace: line containing %q", msg, tc.want)
+			}
+			if stdout.Len() != 0 {
+				t.Fatalf("stdout not empty: %q", stdout.String())
+			}
+		})
+	}
+}

@@ -21,7 +21,6 @@ func healthySuite() []Result {
 		synthetic("htm/access/tag", 11, 0),
 		synthetic("htm/access/bounded", 16, 0),
 		synthetic("sim/dispatch/tree", 250000, 40),
-		synthetic("sim/dispatch/decoded", 220000, 45),
 		synthetic("detect/join/dense/8", 40, 0),
 		synthetic("detect/join/sparse/8", 36, 0.02),
 		synthetic("detect/join/dense/1024", 1400, 0),
@@ -51,29 +50,24 @@ func TestGateRejectsHotPathRegressions(t *testing.T) {
 		t.Fatalf("Gate accepted tag regression: %v", err)
 	}
 	rs[7] = synthetic("htm/access/tag", 11, 0)
-	rs[10] = synthetic("sim/dispatch/decoded", 260000, 45) // lost to tree walk
-	if err := Gate(rs); err == nil || !strings.Contains(err.Error(), "decoded dispatch") {
-		t.Fatalf("Gate accepted dispatch regression: %v", err)
-	}
-	rs[10] = synthetic("sim/dispatch/decoded", 220000, 45)
 	rs[4] = synthetic("htm/access/idle", 2, 0.5) // fast path allocating
 	if err := Gate(rs); err == nil || !strings.Contains(err.Error(), "htm/access/idle") {
 		t.Fatalf("Gate accepted idle-path allocations: %v", err)
 	}
 	rs[4] = synthetic("htm/access/idle", 2, 0)
-	rs[14] = synthetic("detect/join/sparse/1024", 800, 0.02) // lost the 2x scaling win
+	rs[13] = synthetic("detect/join/sparse/1024", 800, 0.02) // lost the 2x scaling win
 	if err := Gate(rs); err == nil || !strings.Contains(err.Error(), "sparse join") {
 		t.Fatalf("Gate accepted sparse join scaling regression: %v", err)
 	}
-	rs[14] = synthetic("detect/join/sparse/1024", 250, 0.02)
-	rs[12] = synthetic("detect/join/sparse/8", 60, 0.02) // small-fleet regression
+	rs[13] = synthetic("detect/join/sparse/1024", 250, 0.02)
+	rs[11] = synthetic("detect/join/sparse/8", 60, 0.02) // small-fleet regression
 	if err := Gate(rs); err == nil || !strings.Contains(err.Error(), "join at 8") {
 		t.Fatalf("Gate accepted small-fleet sparse join regression: %v", err)
 	}
-	rs[12] = synthetic("detect/join/sparse/8", 36, 0.02)
+	rs[11] = synthetic("detect/join/sparse/8", 36, 0.02)
 	// 8-shard replay slower than 2x the sequential one fails the shard gate
 	// on every core-count branch.
-	rs[18] = synthetic("detect/shard/8", 2100000, 100)
+	rs[17] = synthetic("detect/shard/8", 2100000, 100)
 	if err := Gate(rs); err == nil || !strings.Contains(err.Error(), "8-shard replay") {
 		t.Fatalf("Gate accepted sharded-detection regression: %v", err)
 	}

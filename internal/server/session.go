@@ -41,6 +41,17 @@ const (
 	DefaultQueueBatches = 16
 )
 
+// Upper bounds the commands enforce on their -shards, -batch and -queue
+// flags. A session starts one goroutine and one shard table per shard (with
+// the default worker count) and allocates Workers×(QueueBatches+1) queue
+// and free-list slots up front, so an unchecked flag value turns into
+// gigabytes of memory or millions of goroutines before the first event.
+const (
+	MaxShards       = 1024
+	MaxBatchSize    = 1 << 16
+	MaxQueueBatches = 1024
+)
+
 func (c SessionConfig) withDefaults() SessionConfig {
 	if c.Shards < 1 {
 		c.Shards = 1

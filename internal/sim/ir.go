@@ -250,7 +250,7 @@ func (p *Program) Threads() int { return len(p.Workers) + 1 }
 // Validate performs structural checks: loop counts non-negative, no nested
 // identical loop ids on one path. Conditions that need execution context to
 // report well (non-positive barrier widths, zero-range random addresses,
-// unlocks without the hold) are left to the interpreters, which surface them
+// unlocks without the hold) are left to the interpreter, which surfaces them
 // as *ProgramError with the offending thread, pc, and object.
 func (p *Program) Validate() error {
 	check := func(body []Instr, where string) error {

@@ -9,8 +9,8 @@ import (
 // an unlock of an unowned mutex, a read- or write-unlock without the hold,
 // a cond-wait without the protecting mutex. It carries enough context to
 // pinpoint the offending instruction, and Engine.Run returns it as an
-// ordinary error — identical in decoded and RefWalk modes — so a CLI can
-// print one line and exit non-zero instead of crashing with a Go panic.
+// ordinary error, so a CLI can print one line and exit non-zero instead of
+// crashing with a Go panic.
 type ProgramError struct {
 	// Thread is the executing thread's id.
 	Thread int
@@ -41,8 +41,7 @@ type BlockedThread struct {
 // DeadlockError reports that every live thread is blocked — the runtime
 // shape of an unmatched join or wait (a Wait or WaitGroup join whose signal
 // can never arrive). Like ProgramError it is a structured, ordinary error:
-// callers get the offending threads and pcs instead of a crash, and the
-// rendering is identical in decoded and RefWalk modes.
+// callers get the offending threads and pcs instead of a crash.
 type DeadlockError struct {
 	Blocked []BlockedThread // in thread-id order
 }
@@ -56,9 +55,7 @@ func (e *DeadlockError) Error() string {
 }
 
 // programError aborts execution with a ProgramError; Engine.Run recovers it
-// and returns it as the run's error. Both interpreters call this with the
-// same op/detail strings, so the surfaced error is mode-independent (the
-// decoder maps instructions 1:1, keeping pc indexes aligned).
+// and returns it as the run's error.
 func (e *Engine) programError(t *Thread, op string, obj SyncID, detail string) {
 	pc := -1
 	if len(t.frames) > 0 {

@@ -46,7 +46,7 @@ func tieProgram() *Program {
 
 // TestScheduleSequencePinned pins the exact pick order and RNG draw count of
 // the scheduler on programs covering mutex, rwlock, semaphore, condition
-// variable, barrier, spawn/join and timer interrupts, in both interpreters.
+// variable, barrier, spawn/join and timer interrupts.
 // The hashes were recorded before the run-queue scheduler replaced the full
 // thread scan; any change to tie-breaking or to the number of scheduler draws
 // moves them.
@@ -91,18 +91,15 @@ func TestScheduleSequencePinned(t *testing.T) {
 		{"ties-interrupts", tieProgram(), interrupting(11), false, 0x1f01ceab76f26066},
 	}
 	for _, c := range cases {
-		for _, ref := range []bool{false, true} {
-			cfg := c.cfg
-			cfg.MaxSteps = 1 << 22
-			cfg.RefWalk = ref
-			rt := &schedRT{diffRT: diffRT{restore: c.restore}, h: 14695981039346656037}
-			if _, err := NewEngine(cfg).Run(c.prog, rt); err != nil {
-				t.Fatalf("%s (refwalk=%v): %v", c.name, ref, err)
-			}
-			if rt.h != c.want {
-				t.Errorf("%s (refwalk=%v): schedule hash %#x over %d steps, want %#x",
-					c.name, ref, rt.h, rt.steps, c.want)
-			}
+		cfg := c.cfg
+		cfg.MaxSteps = 1 << 22
+		rt := &schedRT{diffRT: diffRT{restore: c.restore}, h: 14695981039346656037}
+		if _, err := NewEngine(cfg).Run(c.prog, rt); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if rt.h != c.want {
+			t.Errorf("%s: schedule hash %#x over %d steps, want %#x",
+				c.name, rt.h, rt.steps, c.want)
 		}
 	}
 }

@@ -17,7 +17,7 @@ type syncTable[T any] struct {
 
 // get returns the state for id, allocating a zero value on first use. The
 // interned case is a bounds check and an index, small enough to inline into
-// the interpreters' sync instructions.
+// the interpreter's sync instructions.
 func (st *syncTable[T]) get(id SyncID) *T {
 	if int(id) < len(st.dense) {
 		if v := st.dense[id]; v != nil {

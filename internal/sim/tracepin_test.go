@@ -2,24 +2,25 @@ package sim
 
 import (
 	"fmt"
+	"hash/fnv"
 	"testing"
-	"unsafe"
 
 	"repro/internal/memmodel"
 	"repro/internal/prng"
 )
 
-// The decoded-stream interpreter (the default) must be observationally
-// identical to the reference tree walk (Config.RefWalk): same Runtime event
-// sequence with the same thread clocks, same Result, same Checkpoint/Restore
-// behaviour. These tests run randomized programs through both interpreters
-// and compare complete traces.
+// The trace pins fix the interpreter's complete observable behaviour on a
+// corpus of generated and hand-built programs: every Runtime event in order
+// with the executing thread's clock, every Result field, and the error text,
+// folded into one digest per run. The constants were recorded from two
+// independent interpreters that agreed on every digest; any change to
+// dispatch, cycle charging, scheduling or Checkpoint/Restore moves them.
 
 // diffRT records every runtime event as a formatted line including the
 // executing thread's virtual clock, so any divergence in ordering, operands,
 // or cycle charging shows up as a trace mismatch. When restore is set it
 // checkpoints each thread at its first TxBegin and rewinds once at the
-// following TxEnd, exercising Restore against decoded frames.
+// following TxEnd, exercising Restore mid-body.
 type diffRT struct {
 	NopRuntime
 	eng     *Engine
@@ -184,7 +185,7 @@ func (g *progGen) program(nworkers int) *Program {
 	shared = append(shared, g.body(0)...)
 	workers := make([][]Instr, nworkers)
 	for i := range workers {
-		workers[i] = shared // one body: decode must memoize, barrier counts match
+		workers[i] = shared // one body, so barrier arrival counts match
 	}
 	return &Program{
 		Name:     "diff",
@@ -194,45 +195,35 @@ func (g *progGen) program(nworkers int) *Program {
 	}
 }
 
-func runBoth(t *testing.T, p *Program, cfg Config, restore bool) {
-	t.Helper()
+// traceDigest runs p once under a diffRT and hashes the full event log,
+// the Result (every field, ThreadClocks included) and the error text.
+func traceDigest(p *Program, cfg Config, restore bool) uint64 {
 	cfg.MaxSteps = 1 << 22
-	refCfg := cfg
-	refCfg.RefWalk = true
-	dec, ref := &diffRT{restore: restore}, &diffRT{restore: restore}
-	decRes, decErr := NewEngine(cfg).Run(p, dec)
-	refRes, refErr := NewEngine(refCfg).Run(p, ref)
-	if (decErr == nil) != (refErr == nil) {
-		t.Fatalf("error mismatch: decoded=%v ref=%v", decErr, refErr)
+	rt := &diffRT{restore: restore}
+	res, err := NewEngine(cfg).Run(p, rt)
+	h := fnv.New64a()
+	for _, l := range rt.log {
+		fmt.Fprintln(h, l)
 	}
-	for i := 0; i < len(dec.log) && i < len(ref.log); i++ {
-		if dec.log[i] != ref.log[i] {
-			t.Fatalf("trace diverges at event %d:\n  decoded: %s\n  ref:     %s", i, dec.log[i], ref.log[i])
-		}
+	if res != nil {
+		fmt.Fprintf(h, "%+v\n", *res)
 	}
-	if len(dec.log) != len(ref.log) {
-		t.Fatalf("trace length %d != %d", len(dec.log), len(ref.log))
-	}
-	if decErr != nil {
-		return
-	}
-	if decRes.Makespan != refRes.Makespan || decRes.TotalCycles != refRes.TotalCycles ||
-		decRes.Instructions != refRes.Instructions || decRes.Accesses != refRes.Accesses ||
-		decRes.HookedAccesses != refRes.HookedAccesses || decRes.SyncOps != refRes.SyncOps ||
-		decRes.Syscalls != refRes.Syscalls || decRes.Interrupts != refRes.Interrupts {
-		t.Fatalf("Result mismatch:\n  decoded: %+v\n  ref:     %+v", decRes, refRes)
-	}
-	if len(decRes.ThreadClocks) != len(refRes.ThreadClocks) {
-		t.Fatalf("ThreadClocks length %d != %d", len(decRes.ThreadClocks), len(refRes.ThreadClocks))
-	}
-	for i := range decRes.ThreadClocks {
-		if decRes.ThreadClocks[i] != refRes.ThreadClocks[i] {
-			t.Fatalf("ThreadClocks[%d] %d != %d", i, decRes.ThreadClocks[i], refRes.ThreadClocks[i])
-		}
+	fmt.Fprintf(h, "err=%v\n", err)
+	return h.Sum64()
+}
+
+func checkDigest(t *testing.T, name string, got, want uint64) {
+	t.Helper()
+	if got != want {
+		t.Errorf("%s: trace digest %#x, want %#x", name, got, want)
 	}
 }
 
-func TestDecodedMatchesTreeWalk(t *testing.T) {
+func TestTracePinned(t *testing.T) {
+	want := []uint64{
+		0x070923ff5aba68c2, 0x38122ebd43b52277, 0xa973453b026c3a67, 0xbe8373fd53e27d5d,
+		0xa0c6198c7c3a6dcd, 0xf54794e729ae39ee, 0xaacaa2ff2aaa4e9a, 0x43cb8169d626ddc0,
+	}
 	for seed := uint64(1); seed <= 8; seed++ {
 		g := &progGen{rng: prng.New(seed * 2654435761)}
 		nworkers := 2 + int(g.rng.Intn(3))
@@ -246,24 +237,28 @@ func TestDecodedMatchesTreeWalk(t *testing.T) {
 		cfg.InterruptEvery = 3_000
 		cfg.SpawnJitter = 500
 		cfg.WakeJitter = 50
-		runBoth(t, p, cfg, false)
+		checkDigest(t, fmt.Sprintf("seed %d", seed), traceDigest(p, cfg, false), want[seed-1])
 	}
 }
 
-func TestDecodedMatchesTreeWalkWithRestore(t *testing.T) {
+func TestTracePinnedWithRestore(t *testing.T) {
+	want := []uint64{
+		0x19c9ed1a7595a44c, 0x98a95f84f8fe2577, 0xe5e8e11ac71f6d2c, 0x795da46567c5412d,
+		0x5b2c98ea335940d7,
+	}
 	for seed := uint64(20); seed <= 24; seed++ {
 		g := &progGen{rng: prng.New(seed)}
 		p := g.program(3)
 		cfg := quiet()
 		cfg.Seed = seed
-		runBoth(t, p, cfg, true)
+		checkDigest(t, fmt.Sprintf("seed %d", seed), traceDigest(p, cfg, true), want[seed-20])
 	}
 }
 
-// TestDecodedMatchesTreeWalkBlocking covers the sync shapes the random
-// generator avoids for deadlock-freedom: semaphore producer/consumer and a
+// TestTracePinnedBlocking covers the sync shapes the random generator
+// avoids for deadlock-freedom: semaphore producer/consumer and a
 // mutex-paired condition variable ping-pong, both under interrupts.
-func TestDecodedMatchesTreeWalkBlocking(t *testing.T) {
+func TestTracePinnedBlocking(t *testing.T) {
 	const sem, cv, mu SyncID = 50, 51, 52
 	producer := []Instr{&Loop{ID: 1, Count: 6, Body: []Instr{
 		&Compute{Cycles: 30},
@@ -284,7 +279,7 @@ func TestDecodedMatchesTreeWalkBlocking(t *testing.T) {
 		&Lock{M: mu},
 		&CondSignal{C: cv},
 		&Unlock{M: mu},
-		&CondBroadcast{C: cv}, // no waiters: must be a no-op in both modes
+		&CondBroadcast{C: cv}, // no waiters: must be a no-op
 	}
 	p := &Program{
 		Name:    "blocking",
@@ -293,30 +288,5 @@ func TestDecodedMatchesTreeWalkBlocking(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 7
 	cfg.InterruptEvery = 2_000
-	runBoth(t, p, cfg, false)
-}
-
-// TestDecodeMemoizesSharedBodies pins that workers sharing one []Instr are
-// compiled once: the decoded-instruction counter sees a single copy plus the
-// main wrapper.
-func TestDecodeMemoizesSharedBodies(t *testing.T) {
-	body := []Instr{&Compute{Cycles: 1}, &MemAccess{Addr: Fixed(0x10), Site: 1}}
-	p := &Program{Workers: [][]Instr{body, body, body, body}}
-	e := NewEngine(quiet())
-	if _, err := e.Run(p, &NopRuntime{}); err != nil {
-		t.Fatal(err)
-	}
-	// Shared worker body (2) decoded once + main's spawn/join wrapper (2).
-	if e.decodedInstrs != 4 {
-		t.Fatalf("decodedInstrs = %d, want 4 (shared bodies must decode once)", e.decodedInstrs)
-	}
-}
-
-// TestDinstrLayout pins the decoded instruction at 120 bytes or less. Every
-// thread body decodes to a []dinstr per run, so each field costs the whole
-// stream; sync objects are looked up by id and a loop's *Loop is its ref.
-func TestDinstrLayout(t *testing.T) {
-	if got := unsafe.Sizeof(dinstr{}); got > 120 {
-		t.Fatalf("sizeof(dinstr) = %d, want <= 120", got)
-	}
+	checkDigest(t, "blocking", traceDigest(p, cfg, false), 0x653301c8e0d4ec39)
 }
