@@ -114,6 +114,19 @@ func AddObsFlags() *ObsFlags {
 	return f
 }
 
+// Validate rejects a -flight-buf above obs.MaxRingCapacity. Call after
+// flag.Parse, before any work.
+func (f *ObsFlags) Validate() error { return CheckRingCapacity("-flight-buf", f.FlightBuf) }
+
+// CheckRingCapacity returns a one-line error when an event-ring flag asks
+// for more than obs.MaxRingCapacity events.
+func CheckRingCapacity(flagName string, capacity int) error {
+	if capacity > obs.MaxRingCapacity {
+		return fmt.Errorf("%s must be <= %d, got %d", flagName, obs.MaxRingCapacity, capacity)
+	}
+	return nil
+}
+
 // Enabled reports whether any observability flag asks for the stack.
 func (f *ObsFlags) Enabled() bool { return f.Telemetry != "" || f.FlightOut != "" }
 

@@ -1,8 +1,11 @@
 package cli
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // TestValidateBackend pins the -backend contract: every shipped backend
@@ -91,6 +94,28 @@ func TestValidateCounts(t *testing.T) {
 		}
 		if msg := err.Error(); !strings.Contains(msg, tc.flag) || strings.Contains(msg, "\n") {
 			t.Errorf("Validate(%+v) error %q: want one line naming %s", *c, msg, tc.flag)
+		}
+	}
+}
+
+// TestCheckRingCapacity pins the event-ring bound every command applies to
+// -trace-buf and -flight-buf: obs.MaxRingCapacity passes, one more is a
+// one-line error naming the flag, the bound and the value. Only the check
+// runs; no ring is allocated.
+func TestCheckRingCapacity(t *testing.T) {
+	if err := CheckRingCapacity("-trace-buf", obs.MaxRingCapacity); err != nil {
+		t.Fatalf("the bound itself rejected: %v", err)
+	}
+	if err := (&ObsFlags{FlightBuf: obs.DefaultFlightCapacity}).Validate(); err != nil {
+		t.Fatalf("default -flight-buf rejected: %v", err)
+	}
+	for flagName, err := range map[string]error{
+		"-trace-buf":  CheckRingCapacity("-trace-buf", obs.MaxRingCapacity+1),
+		"-flight-buf": (&ObsFlags{FlightBuf: obs.MaxRingCapacity + 1}).Validate(),
+	} {
+		want := fmt.Sprintf("%s must be <= %d, got %d", flagName, obs.MaxRingCapacity, obs.MaxRingCapacity+1)
+		if err == nil || err.Error() != want {
+			t.Errorf("%s one past the bound: got %v, want %q", flagName, err, want)
 		}
 	}
 }

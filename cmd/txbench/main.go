@@ -74,6 +74,9 @@ func main() {
 	if err := common.Validate(); err != nil {
 		fatal(err)
 	}
+	if err := obsFlags.Validate(); err != nil {
+		fatal(err)
+	}
 	switch {
 	case *trials < 1:
 		fatal(fmt.Errorf("-trials must be at least 1, got %d", *trials))

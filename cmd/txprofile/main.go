@@ -43,6 +43,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "txprofile:", err)
 		os.Exit(1)
 	}
+	if err := obsFlags.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "txprofile:", err)
+		os.Exit(1)
+	}
 	if *app == "" {
 		fmt.Fprintln(os.Stderr, "txprofile: missing -app")
 		os.Exit(1)

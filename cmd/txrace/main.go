@@ -71,6 +71,12 @@ func main() {
 	if err := common.Validate(); err != nil {
 		fatal(err)
 	}
+	if err := obsFlags.Validate(); err != nil {
+		fatal(err)
+	}
+	if err := cli.CheckRingCapacity("-trace-buf", *traceBuf); err != nil {
+		fatal(err)
+	}
 	loopCut, ok := cutModes[*cut]
 	switch {
 	case !ok:

@@ -29,6 +29,10 @@ func TestRejectsBadFlags(t *testing.T) {
 		{[]string{"-app", "blackscholes", "-detector", "sampling", "-rate", "-0.5"}, "-rate"},
 		{[]string{"-app", "blackscholes", "-fault", "3"}, "-fault"},
 		{[]string{"-app", "blackscholes", "-detector", "bogus"}, "unknown -detector"},
+		// One past obs.MaxRingCapacity, rejected whether or not a ring is
+		// asked for; without -trace-out/-flight-out none is ever allocated.
+		{[]string{"-app", "raytrace", "-trace-buf", "16777217"}, "-trace-buf must be <= 16777216, got 16777217"},
+		{[]string{"-app", "raytrace", "-flight-buf", "16777217"}, "-flight-buf must be <= 16777216, got 16777217"},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			cmd := exec.Command(bin, tc.args...)

@@ -1,5 +1,5 @@
 // Command txserved is the streaming detection service: it listens on a TCP
-// or unix socket, accepts internal/trace wire streams (v1 or v2) from many
+// or unix socket, accepts internal/trace wire v2 streams from many
 // concurrent clients, detects races on the address-sharded parallel core,
 // and answers each stream with a JSON report.
 //
@@ -44,6 +44,9 @@ func main() {
 	)
 	obsFlags := cli.AddObsFlags()
 	flag.Parse()
+	if err := obsFlags.Validate(); err != nil {
+		fatal(err)
+	}
 	if *shards < 1 {
 		fatal(fmt.Errorf("-shards must be >= 1, got %d", *shards))
 	}

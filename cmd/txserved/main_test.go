@@ -31,6 +31,7 @@ func TestRejectsBadInvocations(t *testing.T) {
 		{"shards-over-cap", []string{"-shards", "1025"}, "-shards must be <= 1024, got 1025"},
 		{"batch-over-cap", []string{"-batch", "65537"}, "-batch must be <= 65536, got 65537"},
 		{"queue-over-cap", []string{"-queue", "1025"}, "-queue must be <= 1024, got 1025"},
+		{"flight-buf-over-cap", []string{"-flight-buf", "16777217"}, "-flight-buf must be <= 16777216, got 16777217"},
 		{"clients-0", []string{"-connect", "127.0.0.1:1", "-in", missing, "-clients", "0"}, "-clients must be >= 1, got 0"},
 		{"connect-without-in", []string{"-connect", "127.0.0.1:1"}, "client mode needs -in"},
 		{"missing-in-file", []string{"-connect", "127.0.0.1:1", "-in", missing}, "no such file or directory"},

@@ -46,11 +46,17 @@ func main() {
 	if err := common.Validate(); err != nil {
 		fatal(err)
 	}
+	if err := obsFlags.Validate(); err != nil {
+		fatal(err)
+	}
 	if *shards < 1 {
 		fatal(fmt.Errorf("-shards must be >= 1, got %d", *shards))
 	}
 	if *shards > server.MaxShards {
 		fatal(fmt.Errorf("-shards must be <= %d, got %d", server.MaxShards, *shards))
+	}
+	if *detector != "hb" && *detector != "lockset" && *detector != "both" {
+		fatal(fmt.Errorf("unknown detector %q (valid: hb, lockset, both)", *detector))
 	}
 
 	switch {
@@ -154,9 +160,6 @@ func analyze(path, detector string, shards, jobs int) error {
 		for _, v := range d.Violations() {
 			fmt.Printf("  %v\n", v)
 		}
-	}
-	if detector != "hb" && detector != "lockset" && detector != "both" {
-		return fmt.Errorf("unknown detector %q", detector)
 	}
 	return nil
 }

@@ -22,9 +22,9 @@ func buildTxtrace(t *testing.T) string {
 	return bin
 }
 
-// writeTraceFile serializes a tiny trace in the given wire version and
-// returns the raw bytes and a path holding the first n bytes of them.
-func writeTraceFile(t *testing.T, dir string, v1 bool, cut int) (string, int) {
+// writeTraceFile serializes a tiny trace, applies edit to the bytes (nil
+// leaves them as written), and returns a path holding them.
+func writeTraceFile(t *testing.T, dir string, edit func([]byte) []byte) string {
 	t.Helper()
 	tr := trace.FromEvents("clipped",
 		trace.Event{Kind: trace.KFork, TID: 0, Other: 1},
@@ -32,30 +32,25 @@ func writeTraceFile(t *testing.T, dir string, v1 bool, cut int) (string, int) {
 		trace.Event{Kind: trace.KAccess, TID: 0, Site: 4, Addr: 0x40},
 	)
 	var buf bytes.Buffer
-	var err error
-	if v1 {
-		_, err = tr.WriteToV1(&buf)
-	} else {
-		_, err = tr.WriteTo(&buf)
-	}
-	if err != nil {
+	if _, err := tr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	if cut > 0 {
-		raw = raw[:len(raw)-cut]
+	if edit != nil {
+		raw = edit(raw)
 	}
 	path := filepath.Join(dir, "in.trace")
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return path, len(raw)
+	return path
 }
 
-// TestAnalyzeRejectsCorruptTraces pins the CLI contract of the hardening
-// satellite: txtrace -in on a garbage or truncated file exits non-zero with
+// TestAnalyzeRejectsCorruptTraces pins the CLI contract for corrupt input:
+// txtrace -in on a garbage or truncated file exits non-zero with
 // a single stderr line naming the wire version and byte offset of the
 // failure — never a panic, never a silent short read reported as success.
+// A file in the retired wire v1 fails at its header.
 func TestAnalyzeRejectsCorruptTraces(t *testing.T) {
 	bin := buildTxtrace(t)
 	dir := t.TempDir()
@@ -64,8 +59,8 @@ func TestAnalyzeRejectsCorruptTraces(t *testing.T) {
 	if err := os.WriteFile(garbage, []byte("definitely not a trace"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	v1path, _ := writeTraceFile(t, t.TempDir(), true, 13) // cut mid-record
-	v2path, _ := writeTraceFile(t, t.TempDir(), false, 2) // cut mid-record
+	v1path := writeTraceFile(t, t.TempDir(), func(b []byte) []byte { b[4] = 1; return b })
+	v2path := writeTraceFile(t, t.TempDir(), func(b []byte) []byte { return b[:len(b)-2] }) // cut mid-record
 
 	cases := []struct {
 		name string
@@ -73,7 +68,7 @@ func TestAnalyzeRejectsCorruptTraces(t *testing.T) {
 		want []string
 	}{
 		{"garbage", garbage, []string{"txtrace:", "bad magic"}},
-		{"truncated-v1", v1path, []string{"txtrace:", "wire v1", "offset", "unexpected EOF"}},
+		{"v1-header", v1path, []string{"txtrace: trace: unsupported version 1"}},
 		{"truncated-v2", v2path, []string{"txtrace:", "wire v2", "offset", "unexpected EOF"}},
 	}
 	for _, tc := range cases {
@@ -102,7 +97,7 @@ func TestAnalyzeRejectsCorruptTraces(t *testing.T) {
 	}
 
 	// Control: the untruncated trace analyzes cleanly.
-	good, _ := writeTraceFile(t, t.TempDir(), false, 0)
+	good := writeTraceFile(t, t.TempDir(), nil)
 	out, err := exec.Command(bin, "-in", good).CombinedOutput()
 	if err != nil {
 		t.Fatalf("valid trace rejected: %v\n%s", err, out)
@@ -146,5 +141,32 @@ func TestRejectsBadShards(t *testing.T) {
 				t.Fatalf("stdout not empty: %q", stdout.String())
 			}
 		})
+	}
+}
+
+// TestRejectsUnknownDetector pins that -detector is checked before the
+// trace is read: a bad value exits 1 with one stderr line and nothing on
+// stdout, with or without -shards.
+func TestRejectsUnknownDetector(t *testing.T) {
+	bin := buildTxtrace(t)
+	good := writeTraceFile(t, t.TempDir(), nil)
+	for _, args := range [][]string{
+		{"-in", good, "-detector", "bogus"},
+		{"-in", good, "-detector", "bogus", "-shards", "2"},
+	} {
+		cmd := exec.Command(bin, args...)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+			t.Fatalf("%v: exit = %v, want exit code 1\nstderr: %s", args, err, stderr.String())
+		}
+		want := `txtrace: unknown detector "bogus" (valid: hb, lockset, both)`
+		if msg := strings.TrimSuffix(stderr.String(), "\n"); msg != want {
+			t.Fatalf("%v: stderr %q, want %q", args, stderr.String(), want)
+		}
+		if stdout.Len() != 0 {
+			t.Fatalf("%v: rejected only after reading the trace; stdout:\n%s", args, stdout.String())
+		}
 	}
 }

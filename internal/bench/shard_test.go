@@ -6,18 +6,17 @@ import (
 )
 
 // TestWireRows pins the v2 wire win on the bench trace: the varint+delta
-// encoding must be at least 2x smaller per event than v1's fixed records.
+// encoding must take under half of the retired v1 format's fixed record per
+// event.
 func TestWireRows(t *testing.T) {
 	tr := buildShardTrace()
-	v1, err := tr.WriteToV1(io.Discard)
+	n, err := tr.WriteTo(io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := tr.WriteTo(io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v2*2 >= v1 {
-		t.Fatalf("v2 %d bytes, not 2x smaller than v1's %d (%d events)", v2, v1, tr.Len())
+	const v1Record = 28 // bytes per event in the retired fixed-record format
+	if perEvent := float64(n) / float64(tr.Len()); perEvent >= v1Record/2 {
+		t.Fatalf("v2 %d bytes for %d events (%.2f B/event), want < %d B/event",
+			n, tr.Len(), perEvent, v1Record/2)
 	}
 }

@@ -319,8 +319,8 @@ type ChaosDiffRow struct {
 	Plan     string
 	RefRaces int
 	Races    int
-	Sound    bool   // race set identical to the reference's
-	Truth    bool   // reference's race set equals the built-in ground truth
+	Sound    bool // race set identical to the reference's
+	Truth    bool // reference's race set equals the built-in ground truth
 	Injected uint64
 	Forced   uint64 // regions the governor forced onto the slow path
 	Trips    uint64

@@ -13,6 +13,13 @@ type Tracer struct {
 // room to spare; raise it (or shrink it) via NewTracer for other scales.
 const DefaultTracerCapacity = 1 << 20
 
+// MaxRingCapacity bounds the event ring a command-line flag may ask a
+// Tracer or FlightRecorder for: 16x the default tracer's ring, under 1 GiB
+// of 56-byte events. Commands reject larger -trace-buf/-flight-buf values before
+// allocating, so a typo is a one-line error rather than an out-of-memory
+// crash.
+const MaxRingCapacity = 1 << 24
+
 // NewTracer returns a ring tracer holding up to capacity events;
 // non-positive capacities get DefaultTracerCapacity.
 func NewTracer(capacity int) *Tracer {

@@ -36,8 +36,8 @@ type Config struct {
 
 // Server accepts trace-wire connections and answers each with a JSON
 // detection report. One connection is one session: the client streams a
-// serialized trace (v1 or v2), half-closes or just stops writing, and reads
-// the report back.
+// serialized trace in wire v2, half-closes or just stops writing, and reads
+// the report back. Any other wire version is answered with a JSON error.
 type Server struct {
 	cfg Config
 	m   *serverMetrics

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -231,7 +232,7 @@ func TestSessionFinishIdempotent(t *testing.T) {
 }
 
 // TestServerRejectsGarbage: malformed streams get a JSON error, not a hang
-// or a crash.
+// or a crash, and the connections after them are still served.
 func TestServerRejectsGarbage(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -241,27 +242,25 @@ func TestServerRejectsGarbage(t *testing.T) {
 	go srv.Serve(ln)
 	defer srv.Close()
 
-	c, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.Write([]byte("definitely not a trace stream"))
-	var resp Response
-	if err := json.NewDecoder(c).Decode(&resp); err != nil {
-		t.Fatalf("no JSON error response: %v", err)
-	}
-	if resp.Error == "" {
+	if resp := rawResponse(t, ln.Addr().String(), []byte("definitely not a trace stream")); resp.Error == "" {
 		t.Fatal("garbage stream accepted without error")
 	}
 
-	// A truncated stream — valid header, events cut mid-record — must come
-	// back as a structured error naming the wire version and byte offset.
+	// A stream in the retired wire v1 is refused at its header, in one line.
 	tr := recordTrace(t, "raytrace", 7)
 	var buf bytes.Buffer
 	if _, err := tr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
+	v1 := append([]byte(nil), buf.Bytes()...)
+	v1[4] = 1
+	const wantV1 = "bad trace header: trace: unsupported version 1"
+	if resp := rawResponse(t, ln.Addr().String(), v1); resp.Error != wantV1 {
+		t.Fatalf("v1 header: error %q, want %q", resp.Error, wantV1)
+	}
+
+	// A truncated stream — valid header, events cut mid-record — must come
+	// back as a structured error naming the wire version and byte offset.
 	c2, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -282,10 +281,27 @@ func TestServerRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestServerSurvivesOutOfRangeTID: a v1 stream naming thread -1 gets a
-// JSON error instead of reaching the router (where it would index a clock
-// slice at -1 and take the whole process down), and the server goes on
-// serving the next client.
+// rawResponse writes raw to a fresh connection to addr and decodes the one
+// JSON response the server sends back.
+func rawResponse(t *testing.T, addr string, raw []byte) Response {
+	t.Helper()
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Write(raw)
+	var resp Response
+	if err := json.NewDecoder(c).Decode(&resp); err != nil {
+		t.Fatalf("no JSON error response: %v", err)
+	}
+	return resp
+}
+
+// TestServerSurvivesOutOfRangeTID: a v2 stream naming thread 1<<22+1, one
+// past the decoder's bound, gets a JSON error instead of reaching the
+// router (where per-thread state indexed by it would take the whole process
+// down), and the server goes on serving the next client.
 func TestServerSurvivesOutOfRangeTID(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -295,22 +311,18 @@ func TestServerSurvivesOutOfRangeTID(t *testing.T) {
 	go srv.Serve(ln)
 	defer srv.Close()
 
-	bad := trace.FromEvents("bad", trace.Event{Kind: trace.KAccess, TID: -1, Addr: 0x100, Site: 1})
+	// WriteTo refuses the tid, so splice the event in after a one-event
+	// header: flags byte, tid varint, zero address and site deltas.
+	one := trace.FromEvents("bad", trace.Event{Kind: trace.KAccess})
 	var buf bytes.Buffer
-	if _, err := bad.WriteToV1(&buf); err != nil {
+	if _, err := one.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	c, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.Write(buf.Bytes())
-	var resp Response
-	if err := json.NewDecoder(c).Decode(&resp); err != nil {
-		t.Fatalf("no JSON error response: %v", err)
-	}
-	for _, want := range []string{"wire v1", "implausible tid -1"} {
+	headerLen := 4 + 4 + len(one.Name) + 8
+	raw := append(buf.Bytes()[:headerLen:headerLen], byte(trace.KAccess))
+	raw = append(binary.AppendUvarint(raw, 1<<22+1), 0, 0)
+	resp := rawResponse(t, ln.Addr().String(), raw)
+	for _, want := range []string{"wire v2", fmt.Sprintf("event 0 at offset %d:", headerLen), "implausible tid 4194305"} {
 		if !strings.Contains(resp.Error, want) {
 			t.Fatalf("error %q lacks %q", resp.Error, want)
 		}

@@ -40,27 +40,28 @@ func normalizeV2(e Event) Event {
 }
 
 // FuzzReadFrom hardens the trace deserializer against corrupt and
-// adversarial inputs across both wire versions: it must never panic, and on
-// inputs it accepts, a re-serialization round trip (in either version) must
-// preserve the decoded events.
+// adversarial inputs: it must never panic, and every input it accepts must
+// re-serialize through WriteTo and decode to the same events.
 func FuzzReadFrom(f *testing.F) {
-	// Seed with genuine traces in both wire versions and a few mutations.
+	// Seed with a genuine trace, the same trace under the retired version
+	// 1 header, and a few mutations.
 	tr := fuzzSeedTrace()
-	var v1, v2 bytes.Buffer
-	tr.WriteToV1(&v1)
+	var v2 bytes.Buffer
 	tr.WriteTo(&v2)
-	f.Add(v1.Bytes())
+	v1 := append([]byte(nil), v2.Bytes()...)
+	v1[4] = 1
+	f.Add(v1)
 	f.Add(v2.Bytes())
 	f.Add([]byte("TXTR"))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
-	// Truncation seeds: both versions cut mid-record, plus headers cut
-	// mid-name and mid-count. All must be rejected, never short-read.
-	f.Add(v1.Bytes()[:v1.Len()-13])
+	// Truncation seeds: cuts mid-record, plus headers cut mid-name and
+	// mid-count. All must be rejected, never short-read.
+	f.Add(v2.Bytes()[:v2.Len()-7])
 	f.Add(v2.Bytes()[:v2.Len()-2])
-	f.Add(v1.Bytes()[:6])                  // header cut before name length is honored
+	f.Add(v2.Bytes()[:6])                  // header cut before name length is honored
 	f.Add(v2.Bytes()[:8+len(tr.Name)-2])   // cut mid-name
-	f.Add(v1.Bytes()[:8+len(tr.Name)+3])   // cut mid-count
+	f.Add(v2.Bytes()[:8+len(tr.Name)+3])   // cut mid-count
 	f.Add(v2.Bytes()[:8+len(tr.Name)+8+1]) // exactly one payload byte
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -68,40 +69,22 @@ func FuzzReadFrom(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// v1 re-encode is lossless for anything v1 decoded.
+		// Every field the decoder accepts is in range for the encoder, so
+		// the re-encode must succeed and preserve the fields v2 carries.
 		var out bytes.Buffer
-		if _, err := got.WriteToV1(&out); err != nil {
-			t.Fatalf("accepted trace failed to re-serialize as v1: %v", err)
+		if _, err := got.WriteTo(&out); err != nil {
+			t.Fatalf("accepted trace failed to re-serialize: %v", err)
 		}
 		again, err := ReadFrom(&out)
 		if err != nil {
-			t.Fatalf("v1 round trip of accepted trace rejected: %v", err)
+			t.Fatalf("round trip of accepted trace rejected: %v", err)
 		}
 		if again.Len() != got.Len() {
-			t.Fatalf("v1 round trip changed event count: %d vs %d", again.Len(), got.Len())
-		}
-		for i := 0; i < got.Len(); i++ {
-			if got.At(i) != again.At(i) {
-				t.Fatalf("v1 round trip changed event %d: %+v vs %+v", i, got.At(i), again.At(i))
-			}
-		}
-		// v2 re-encode may refuse out-of-range tids or unknown kinds a v1
-		// input carried; when it accepts, the round trip must preserve the
-		// fields v2 carries.
-		out.Reset()
-		if _, err := got.WriteTo(&out); err != nil {
-			return
-		}
-		again, err = ReadFrom(&out)
-		if err != nil {
-			t.Fatalf("v2 round trip of accepted trace rejected: %v", err)
-		}
-		if again.Len() != got.Len() {
-			t.Fatalf("v2 round trip changed event count: %d vs %d", again.Len(), got.Len())
+			t.Fatalf("round trip changed event count: %d vs %d", again.Len(), got.Len())
 		}
 		for i := 0; i < got.Len(); i++ {
 			if want := normalizeV2(got.At(i)); again.At(i) != want {
-				t.Fatalf("v2 round trip changed event %d: %+v vs %+v", i, again.At(i), want)
+				t.Fatalf("round trip changed event %d: %+v vs %+v", i, again.At(i), want)
 			}
 		}
 	})

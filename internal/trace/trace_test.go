@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"runtime"
 	"strings"
@@ -74,55 +76,46 @@ func TestReplayMatchesOnline(t *testing.T) {
 
 func TestSerializationRoundTrip(t *testing.T) {
 	tr := record(t, "raytrace", 3)
-	writers := map[string]func(*Trace, *bytes.Buffer) (int64, error){
-		"v1": func(tr *Trace, buf *bytes.Buffer) (int64, error) { return tr.WriteToV1(buf) },
-		"v2": func(tr *Trace, buf *bytes.Buffer) (int64, error) { return tr.WriteTo(buf) },
+	var buf bytes.Buffer
+	n, err := tr.WriteTo(&buf)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, write := range writers {
-		var buf bytes.Buffer
-		n, err := write(tr, &buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != int64(buf.Len()) {
-			t.Fatalf("%s: WriteTo reported %d bytes, wrote %d", name, n, buf.Len())
-		}
-		back, err := ReadFrom(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if back.Name != tr.Name || back.Len() != tr.Len() {
-			t.Fatalf("%s: round trip lost shape: %q/%d vs %q/%d",
-				name, back.Name, back.Len(), tr.Name, tr.Len())
-		}
-		for i := 0; i < tr.Len(); i++ {
-			if back.At(i) != tr.At(i) {
-				t.Fatalf("%s: event %d differs: %+v vs %+v", name, i, back.At(i), tr.At(i))
-			}
+	if n != int64(buf.Len()) {
+		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
+	}
+	back, err := ReadFrom(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Name != tr.Name || back.Len() != tr.Len() {
+		t.Fatalf("round trip lost shape: %q/%d vs %q/%d", back.Name, back.Len(), tr.Name, tr.Len())
+	}
+	for i := 0; i < tr.Len(); i++ {
+		if back.At(i) != tr.At(i) {
+			t.Fatalf("event %d differs: %+v vs %+v", i, back.At(i), tr.At(i))
 		}
 	}
 }
 
 // TestWireV2Compression pins the point of the varint/delta format: on a real
-// recorded workload trace it must be markedly smaller than the 28-byte
-// fixed records of v1.
+// recorded workload trace it must stay under half of the retired v1 format's
+// fixed 28-byte record per event.
 func TestWireV2Compression(t *testing.T) {
 	tr := record(t, "raytrace", 3)
-	var v1, v2 bytes.Buffer
-	if _, err := tr.WriteToV1(&v1); err != nil {
+	n, err := tr.WriteTo(io.Discard)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.WriteTo(&v2); err != nil {
-		t.Fatal(err)
-	}
-	if v2.Len()*2 >= v1.Len() {
-		t.Fatalf("v2 encoding %d bytes, not even 2x smaller than v1's %d (%d events)",
-			v2.Len(), v1.Len(), tr.Len())
+	const v1Record = 28 // bytes per event in the retired fixed-record format
+	if perEvent := float64(n) / float64(tr.Len()); perEvent >= v1Record/2 {
+		t.Fatalf("v2 encoding %d bytes for %d events (%.2f B/event), want < %d B/event",
+			n, tr.Len(), perEvent, v1Record/2)
 	}
 }
 
 // TestStreamReaderIncremental: the server-side decoder must deliver events
-// one by one with the header available up front, for both wire versions.
+// one by one with the header available up front.
 func TestStreamReaderIncremental(t *testing.T) {
 	tr := FromEvents("s",
 		Event{Kind: KFork, TID: 0, Other: 1},
@@ -130,31 +123,28 @@ func TestStreamReaderIncremental(t *testing.T) {
 		Event{Kind: KAccess, TID: 1, Site: 4, Addr: 0x108},
 		Event{Kind: KRelease, TID: 1, Sync: 5},
 	)
-	for name, write := range map[string]func(*bytes.Buffer){
-		"v1": func(b *bytes.Buffer) { tr.WriteToV1(b) },
-		"v2": func(b *bytes.Buffer) { tr.WriteTo(b) },
-	} {
-		var buf bytes.Buffer
-		write(&buf)
-		sr, err := NewStreamReader(&buf)
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sr, err := NewStreamReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sr.Name() != "s" || sr.Total() != 4 {
+		t.Fatalf("header %q/%d", sr.Name(), sr.Total())
+	}
+	for i := 0; i < tr.Len(); i++ {
+		e, err := sr.Next()
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("event %d: %v", i, err)
 		}
-		if sr.Name() != "s" || sr.Total() != 4 {
-			t.Fatalf("%s: header %q/%d", name, sr.Name(), sr.Total())
+		if e != tr.At(i) {
+			t.Fatalf("event %d: %+v vs %+v", i, e, tr.At(i))
 		}
-		for i := 0; i < tr.Len(); i++ {
-			e, err := sr.Next()
-			if err != nil {
-				t.Fatalf("%s: event %d: %v", name, i, err)
-			}
-			if e != tr.At(i) {
-				t.Fatalf("%s: event %d: %+v vs %+v", name, i, e, tr.At(i))
-			}
-		}
-		if _, err := sr.Next(); err != io.EOF {
-			t.Fatalf("%s: want io.EOF after last event, got %v", name, err)
-		}
+	}
+	if _, err := sr.Next(); err != io.EOF {
+		t.Fatalf("want io.EOF after last event, got %v", err)
 	}
 }
 
@@ -223,43 +213,38 @@ func TestReadFromRejectsGarbage(t *testing.T) {
 	if _, err := ReadFrom(bytes.NewReader(cut)); err == nil {
 		t.Fatal("truncated trace accepted")
 	}
-	// A v1 access at a negative thread id: decoding it would hand Replay
-	// an index of -1.
-	var neg bytes.Buffer
-	if _, err := FromEvents("neg", Event{Kind: KAccess, TID: -1}).WriteToV1(&neg); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadFrom(bytes.NewReader(neg.Bytes())); err == nil {
-		t.Fatal("v1 access at tid -1 accepted")
-	}
 }
 
 // TestTruncatedStreamNamesOffsetAndVersion pins the hardening contract:
 // truncated or corrupt streams fail with one structured error that names the
-// wire version and the byte offset of the failure, truncation surfaces as
-// io.ErrUnexpectedEOF (never a silent short read), and invalid v1 record
-// bytes are rejected rather than smuggled into the event stream.
+// wire version, the event index and the byte offset of the failure,
+// truncation surfaces as io.ErrUnexpectedEOF (never a silent short read),
+// and every malformed event is rejected rather than smuggled into the event
+// stream.
 func TestTruncatedStreamNamesOffsetAndVersion(t *testing.T) {
 	tr := FromEvents("np",
 		Event{Kind: KFork, TID: 0, Other: 1},
 		Event{Kind: KAccess, TID: 1, Write: true, Site: 3, Addr: 0x100},
 	)
-	var v1, v2 bytes.Buffer
-	if _, err := tr.WriteToV1(&v1); err != nil {
-		t.Fatal(err)
-	}
+	var v2 bytes.Buffer
 	if _, err := tr.WriteTo(&v2); err != nil {
 		t.Fatal(err)
 	}
 	headerLen := 4 + 4 + len(tr.Name) + 8
-
-	// corruptV1 returns the v1 bytes with record 0's bytes from off on
-	// replaced by b.
-	corruptV1 := func(off int, b ...byte) []byte {
-		raw := append([]byte(nil), v1.Bytes()...)
-		copy(raw[headerLen+off:], b)
-		return raw
+	fork := []byte{byte(KFork), 0, 1} // event 0: thread 0 forks thread 1
+	if got := v2.Bytes()[headerLen : headerLen+len(fork)]; !bytes.Equal(got, fork) {
+		t.Fatalf("event 0 encodes as % x, want % x", got, fork)
 	}
+	at1 := fmt.Sprintf("event 1 at offset %d:", headerLen+len(fork))
+
+	// withEvent1 returns v2's header and event 0 followed by raw bytes for
+	// event 1.
+	withEvent1 := func(b ...byte) []byte {
+		return append(append([]byte(nil), v2.Bytes()[:headerLen+len(fork)]...), b...)
+	}
+	v1Header := append([]byte(nil), v2.Bytes()...)
+	v1Header[4] = 1
+	overTID := binary.AppendUvarint(nil, maxTID+1)
 
 	cases := []struct {
 		name      string
@@ -271,28 +256,31 @@ func TestTruncatedStreamNamesOffsetAndVersion(t *testing.T) {
 		{"garbage-magic", []byte("not a trace at all"), []string{"trace: bad magic"}, false},
 		// The offset reported is the truncation point — where the stream
 		// actually ran dry — not the start of the field being read.
-		{"cut-mid-header", v1.Bytes()[:6], []string{"reading header at offset 6"}, false},
+		{"cut-mid-header", v2.Bytes()[:6], []string{"reading header at offset 6"}, false},
 		{"cut-mid-name", v2.Bytes()[:9], []string{"wire v2", "reading name at offset 9"}, false},
-		{"cut-mid-count", v1.Bytes()[:headerLen-3], []string{"wire v1", "reading count at offset"}, false},
-		{"v1-cut-mid-record", v1.Bytes()[:headerLen+recordSizeV1+5],
-			[]string{"wire v1", "event 1 at offset", "truncated record"}, true},
-		{"v1-missing-last-record", v1.Bytes()[:headerLen+recordSizeV1],
-			[]string{"wire v1", "event 1 at offset"}, true},
+		{"cut-mid-count", v2.Bytes()[:headerLen-3], []string{"wire v2", "reading count at offset 15"}, false},
+		// The retired fixed-record version fails at the header, before any
+		// of its records is read.
+		{"v1-header", v1Header, []string{"trace: unsupported version 1"}, false},
 		{"v2-cut-mid-record", v2.Bytes()[:v2.Len()-2],
 			[]string{"wire v2", "event 1 at offset"}, true},
+		{"v2-missing-last-record", v2.Bytes()[:headerLen+len(fork)],
+			[]string{"wire v2", at1, "truncated record"}, true},
 		{"v2-payload-empty", v2.Bytes()[:headerLen],
 			[]string{"wire v2", "event 0 at offset", "truncated record"}, true},
-		{"v1-invalid-kind", corruptV1(0, 250), []string{"wire v1", "invalid event kind 250"}, false},
-		{"v1-invalid-write-flag", corruptV1(1, 7), []string{"wire v1", "invalid write flag 7"}, false},
-		{"v1-invalid-sync-kind", corruptV1(2, 99), []string{"wire v1", "invalid sync kind 99"}, false},
-		// Record 0 is the fork: TID at bytes 4-7, the child at 8-11. v1
-		// applies v2's thread-id bounds to both.
-		{"v1-negative-tid", corruptV1(4, 0xff, 0xff, 0xff, 0xff),
-			[]string{"wire v1", "event 0 at offset", "implausible tid -1"}, false},
-		{"v1-huge-tid", corruptV1(7, 0x7f), []string{"wire v1", "implausible tid 2130706432"}, false},
-		{"v1-negative-fork-child", corruptV1(8, 0xff, 0xff, 0xff, 0xff),
-			[]string{"wire v1", "implausible thread id -1"}, false},
-		{"v1-huge-fork-child", corruptV1(11, 0x7f), []string{"wire v1", "implausible thread id 2130706433"}, false},
+		{"v2-invalid-kind", withEvent1(7, 1), []string{"wire v2", at1, "invalid event kind 7"}, false},
+		// Bit 7 of the flags byte is the top of a 4-bit sync kind; the
+		// wire carries 3.
+		{"v2-invalid-sync-kind", withEvent1(0x80|byte(KAcquire), 1, 5),
+			[]string{"wire v2", at1, "invalid sync kind 8"}, false},
+		{"v2-huge-tid", withEvent1(append([]byte{byte(KAccess)}, overTID...)...),
+			[]string{"wire v2", at1, "implausible tid 4194305"}, false},
+		{"v2-huge-fork-child", withEvent1(append([]byte{byte(KFork), 0}, overTID...)...),
+			[]string{"wire v2", at1, "implausible thread id 4194305"}, false},
+		// Ten continuation-bit-laden bytes cannot hold a uint64: a tid
+		// field that does not fit is rejected, never wrapped.
+		{"v2-varint-overflow", withEvent1(byte(KAccess), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f),
+			[]string{"wire v2", at1, "varint overflows 64 bits"}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -314,9 +302,9 @@ func TestTruncatedStreamNamesOffsetAndVersion(t *testing.T) {
 		})
 	}
 
-	// Offset() tracks the decode frontier precisely: header end, then one
-	// fixed-size record per Next.
-	sr, err := NewStreamReader(bytes.NewReader(v1.Bytes()))
+	// Offset() tracks the decode frontier: the header's end, then past every
+	// event Next decoded ahead, here the whole buffered stream.
+	sr, err := NewStreamReader(bytes.NewReader(v2.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,8 +314,8 @@ func TestTruncatedStreamNamesOffsetAndVersion(t *testing.T) {
 	if _, err := sr.Next(); err != nil {
 		t.Fatal(err)
 	}
-	if got := sr.Offset(); got != int64(headerLen+recordSizeV1) {
-		t.Fatalf("Offset after one event = %d, want %d", got, headerLen+recordSizeV1)
+	if got := sr.Offset(); got != int64(v2.Len()) {
+		t.Fatalf("Offset after one event = %d, want %d", got, v2.Len())
 	}
 }
 

@@ -13,16 +13,12 @@ import (
 	"repro/internal/sim"
 )
 
-// Serialization. Two wire versions share the header:
+// Serialization. There is one wire format, version 2. The header is
 //
 //	magic "TXTR" | version u16 | name len u16 | name | event count u64
 //
-// Version 1 follows with fixed 28-byte little-endian records:
-//
-//	kind u8 | flags u8 | synckind u8 | pad u8 |
-//	tid i32 | other i32 | site u32 | sync u32 | addr u64
-//
-// Version 2 is varint + per-thread delta coded. Each event is:
+// and the events that follow are varint + per-thread delta coded. Each
+// event is:
 //
 //	b0: kind (3 bits) | write (bit 3) | synckind (3 bits, from bit 4)
 //	uvarint tid
@@ -33,15 +29,12 @@ import (
 //
 // The per-thread deltas exploit the recorder's locality: a thread's next
 // access is usually a short stride from its previous one and repeats the
-// same few static sites, so most access events fit in 3–5 bytes against
-// v1's 28. The v1 reader is kept; ReadFrom and NewStreamReader dispatch on
-// the header's version field. WriteTo emits v2; WriteToV1 keeps the fixed
-// format for tooling that wants it.
+// same few static sites, so most access events fit in 3–5 bytes. The
+// header keeps its version field so that a reader rejects any other
+// version with one line.
 const (
-	magic        = "TXTR"
-	version1     = 1
-	version2     = 2
-	recordSizeV1 = 1 + 1 + 1 + 1 + 4 + 4 + 4 + 4 + 8
+	magic    = "TXTR"
+	version2 = 2
 
 	// maxEvents bounds what a header may claim, so corrupt counts fail
 	// fast instead of looping for 2^64 records.
@@ -52,27 +45,13 @@ const (
 	maxTID = 1 << 22
 )
 
-// WriteTo serializes the trace in the current wire version (v2).
-func (t *Trace) WriteTo(w io.Writer) (int64, error) { return t.writeVersion(w, version2) }
-
-// WriteToV1 serializes the trace in the fixed-record v1 format.
-func (t *Trace) WriteToV1(w io.Writer) (int64, error) { return t.writeVersion(w, version1) }
-
-func (t *Trace) writeVersion(w io.Writer, v int) (int64, error) {
+// WriteTo serializes the trace in wire v2.
+func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: bufio.NewWriter(w)}
-	if err := t.writeHeader(cw, v); err != nil {
+	if err := t.writeHeader(cw); err != nil {
 		return cw.n, err
 	}
-	var err error
-	switch v {
-	case version1:
-		err = t.writeEventsV1(cw)
-	case version2:
-		err = t.writeEventsV2(cw)
-	default:
-		err = fmt.Errorf("trace: unknown writer version %d", v)
-	}
-	if err != nil {
+	if err := t.writeEventsV2(cw); err != nil {
 		return cw.n, err
 	}
 	return cw.n, cw.w.(*bufio.Writer).Flush()
@@ -89,12 +68,12 @@ func (cw *countingWriter) Write(b []byte) (int, error) {
 	return m, err
 }
 
-func (t *Trace) writeHeader(w io.Writer, v int) error {
+func (t *Trace) writeHeader(w io.Writer) error {
 	if _, err := w.Write([]byte(magic)); err != nil {
 		return err
 	}
 	var hdr [4]byte
-	binary.LittleEndian.PutUint16(hdr[0:], uint16(v))
+	binary.LittleEndian.PutUint16(hdr[0:], version2)
 	binary.LittleEndian.PutUint16(hdr[2:], uint16(len(t.Name)))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
@@ -106,30 +85,6 @@ func (t *Trace) writeHeader(w io.Writer, v int) error {
 	binary.LittleEndian.PutUint64(cnt[:], uint64(t.Len()))
 	_, err := w.Write(cnt[:])
 	return err
-}
-
-func (t *Trace) writeEventsV1(w io.Writer) error {
-	var rec [recordSizeV1]byte
-	var werr error
-	t.ForEach(func(e Event) {
-		if werr != nil {
-			return
-		}
-		rec[0] = byte(e.Kind)
-		rec[1] = 0
-		if e.Write {
-			rec[1] = 1
-		}
-		rec[2] = byte(e.SyncKind)
-		rec[3] = 0
-		binary.LittleEndian.PutUint32(rec[4:], uint32(e.TID))
-		binary.LittleEndian.PutUint32(rec[8:], uint32(e.Other))
-		binary.LittleEndian.PutUint32(rec[12:], uint32(e.Site))
-		binary.LittleEndian.PutUint32(rec[16:], uint32(e.Sync))
-		binary.LittleEndian.PutUint64(rec[20:], uint64(e.Addr))
-		_, werr = w.Write(rec[:])
-	})
-	return werr
 }
 
 // deltaState is the per-thread prediction context both v2 coder sides keep
@@ -223,14 +178,13 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 
 // StreamReader decodes a serialized trace event by event — the server's
 // ingestion path, which must not buffer a whole multi-gigabyte trace to
-// start detecting. It reads the header eagerly (so Name and Version are
+// start detecting. It reads the header eagerly (so Name and Total are
 // available immediately) and then yields events until the declared count is
 // exhausted.
 type StreamReader struct {
 	cr        *countingReader
 	br        *bufio.Reader
 	name      string
-	version   int
 	total     uint64
 	remaining uint64 // events not yet decoded
 	ds        deltaState
@@ -242,12 +196,13 @@ type StreamReader struct {
 	err   error
 }
 
-// aheadEvents bounds how many v2 events Next decodes ahead: about one
+// aheadEvents bounds how many events Next decodes ahead: about one
 // default bufio window of 3-5 byte events.
 const aheadEvents = 1024
 
 // NewStreamReader reads the trace header from r and returns a reader
-// positioned at the first event. Both wire versions are accepted.
+// positioned at the first event. Only wire v2 is accepted; any other
+// version fails with one line naming it.
 func NewStreamReader(r io.Reader) (*StreamReader, error) {
 	cr := &countingReader{r: r}
 	br := bufio.NewReader(cr)
@@ -263,44 +218,41 @@ func NewStreamReader(r io.Reader) (*StreamReader, error) {
 		return nil, fmt.Errorf("trace: reading header at offset %d: %w", offset(), err)
 	}
 	v := int(binary.LittleEndian.Uint16(head[0:]))
-	if v != version1 && v != version2 {
+	if v != version2 {
 		return nil, fmt.Errorf("trace: unsupported version %d", v)
 	}
 	nameLen := binary.LittleEndian.Uint16(head[2:])
 	name := make([]byte, nameLen)
 	if _, err := io.ReadFull(br, name); err != nil {
-		return nil, fmt.Errorf("trace: wire v%d: reading name at offset %d: %w", v, offset(), err)
+		return nil, fmt.Errorf("trace: wire v2: reading name at offset %d: %w", offset(), err)
 	}
 	var cnt [8]byte
 	if _, err := io.ReadFull(br, cnt[:]); err != nil {
-		return nil, fmt.Errorf("trace: wire v%d: reading count at offset %d: %w", v, offset(), err)
+		return nil, fmt.Errorf("trace: wire v2: reading count at offset %d: %w", offset(), err)
 	}
 	n := binary.LittleEndian.Uint64(cnt[:])
 	if n > maxEvents {
-		return nil, fmt.Errorf("trace: wire v%d: implausible event count %d", v, n)
+		return nil, fmt.Errorf("trace: wire v2: implausible event count %d", n)
 	}
-	return &StreamReader{cr: cr, br: br, name: string(name), version: v, total: n, remaining: n}, nil
+	return &StreamReader{cr: cr, br: br, name: string(name), total: n, remaining: n}, nil
 }
 
 // Name returns the recorded trace's name.
 func (sr *StreamReader) Name() string { return sr.name }
 
-// Version returns the wire version being decoded (1 or 2).
-func (sr *StreamReader) Version() int { return sr.version }
-
 // Total returns the event count the header declared.
 func (sr *StreamReader) Total() uint64 { return sr.total }
 
 // Offset returns the byte offset of the next undecoded byte. Next decodes
-// v2 events ahead of the ones it has returned, so between events this may
-// run ahead of the caller; on a decode error it is where in the stream the
-// malformation sits (for v2, the first byte of the event that failed).
+// events ahead of the ones it has returned, so between events this may run
+// ahead of the caller; on a decode error it is the first byte of the event
+// that failed.
 func (sr *StreamReader) Offset() int64 { return sr.cr.n - int64(sr.br.Buffered()) }
 
 // Next returns the next event, or io.EOF once the declared count has been
 // delivered. Any other error means a malformed or truncated stream; the
-// error names the wire version and the byte offset of the failure, and
-// comes after every event decoded before it.
+// error names the wire version, the event index and the byte offset of the
+// failure, and comes after every event decoded before it.
 func (sr *StreamReader) Next() (Event, error) {
 	if sr.pos < len(sr.ahead) {
 		sr.pos++
@@ -309,11 +261,9 @@ func (sr *StreamReader) Next() (Event, error) {
 	return sr.decodeAhead()
 }
 
-// decodeAhead refills ahead and returns its first event. A v2 refill
-// decodes every whole event already buffered, so Next pays the decode
-// loop's set-up once per window rather than once per event. A v1 refill
-// reads one record: it is read whole from the source, so reading ahead
-// would wait for bytes past the event.
+// decodeAhead refills ahead and returns its first event. A refill decodes
+// every whole event already buffered, so Next pays the decode loop's set-up
+// once per window rather than once per event.
 func (sr *StreamReader) decodeAhead() (Event, error) {
 	if sr.err != nil {
 		return Event{}, sr.err
@@ -322,11 +272,7 @@ func (sr *StreamReader) decodeAhead() (Event, error) {
 		return Event{}, io.EOF
 	}
 	if sr.ahead == nil {
-		n := uint64(1)
-		if sr.version == version2 {
-			n = min(aheadEvents, sr.remaining)
-		}
-		sr.ahead = make([]Event, n)
+		sr.ahead = make([]Event, min(aheadEvents, sr.remaining))
 	}
 	n, err := sr.read(sr.ahead[:cap(sr.ahead)])
 	sr.ahead, sr.pos, sr.err = sr.ahead[:n], 0, err
@@ -335,25 +281,13 @@ func (sr *StreamReader) decodeAhead() (Event, error) {
 
 // read decodes up to min(len(dst), remaining) events into dst and returns
 // how many it delivered, with the error that stopped it after them, if
-// any. v2 events are decoded in place, straight from bufio's buffered
+// any. Events are decoded in place, straight from bufio's buffered
 // window. read waits for more bytes only when not one whole event is
 // buffered, and then through gatherV2, so it never waits for a byte past
 // an event it could deliver.
 func (sr *StreamReader) read(dst []Event) (int, error) {
 	if uint64(len(dst)) > sr.remaining {
 		dst = dst[:sr.remaining]
-	}
-	if sr.version == version1 {
-		for i := range dst {
-			start := sr.Offset()
-			e, err := sr.nextV1()
-			if err != nil {
-				return i, sr.fail(start, err)
-			}
-			dst[i] = e
-			sr.remaining--
-		}
-		return len(dst), nil
 	}
 	n := 0
 	for n < len(dst) {
@@ -389,43 +323,8 @@ func (sr *StreamReader) read(dst []Event) (int, error) {
 // fail wraps a decode error of the next undelivered event, which starts at
 // byte offset start.
 func (sr *StreamReader) fail(start int64, err error) error {
-	return fmt.Errorf("trace: wire v%d: event %d at offset %d: %w",
-		sr.version, sr.total-sr.remaining, start, err)
-}
-
-func (sr *StreamReader) nextV1() (Event, error) {
-	var rec [recordSizeV1]byte
-	if _, err := io.ReadFull(sr.br, rec[:]); err != nil {
-		return Event{}, fmt.Errorf("truncated record: %w", noEOF(err))
-	}
-	if Kind(rec[0]) >= kindCount {
-		return Event{}, fmt.Errorf("invalid event kind %d", rec[0])
-	}
-	if rec[1] > 1 {
-		return Event{}, fmt.Errorf("invalid write flag %d", rec[1])
-	}
-	if rec[2] > 7 {
-		return Event{}, fmt.Errorf("invalid sync kind %d", rec[2])
-	}
-	e := Event{
-		Kind:     Kind(rec[0]),
-		Write:    rec[1] == 1,
-		SyncKind: sim.SyncKind(rec[2]),
-		TID:      int32(binary.LittleEndian.Uint32(rec[4:])),
-		Other:    int32(binary.LittleEndian.Uint32(rec[8:])),
-		Site:     shadow.SiteID(binary.LittleEndian.Uint32(rec[12:])),
-		Sync:     detect.SyncID(binary.LittleEndian.Uint32(rec[16:])),
-		Addr:     memmodel.Addr(binary.LittleEndian.Uint64(rec[20:])),
-	}
-	// The same thread-id bounds as v2: detectors index per-thread state
-	// by tid, so a negative or huge one must not reach them.
-	if e.TID < 0 || e.TID > maxTID {
-		return Event{}, fmt.Errorf("implausible tid %d", e.TID)
-	}
-	if (e.Kind == KFork || e.Kind == KJoin) && (e.Other < 0 || e.Other > maxTID) {
-		return Event{}, fmt.Errorf("implausible thread id %d", e.Other)
-	}
-	return e, nil
+	return fmt.Errorf("trace: wire v2: event %d at offset %d: %w",
+		sr.total-sr.remaining, start, err)
 }
 
 // gatherV2 decodes the event the buffered window cuts short after have
@@ -479,7 +378,7 @@ func decodeV2(p []byte, ds *deltaState, e *Event) (int, error) {
 		return 0, fmt.Errorf("invalid event kind %d", kind)
 	}
 	if b0 >= 0x80 {
-		// Sync kinds are 3 bits wide on the wire, as in v1.
+		// Sync kinds are 3 bits wide on the wire.
 		return 0, fmt.Errorf("invalid sync kind %d", b0>>4)
 	}
 	tid, n, err := uvarint(p[1:])
@@ -560,8 +459,8 @@ func noEOF(err error) error {
 	return err
 }
 
-// ReadFrom deserializes a trace written by WriteTo or WriteToV1. Events are
-// decoded in batches straight into the free tail of the trace's last chunk.
+// ReadFrom deserializes a trace written by WriteTo. Events are decoded in
+// batches straight into the free tail of the trace's last chunk.
 func ReadFrom(r io.Reader) (*Trace, error) {
 	sr, err := NewStreamReader(r)
 	if err != nil {
