@@ -152,6 +152,7 @@ func microFuncs() []microBench {
 		{"detect/shard/1", benchShardedReplay(1)},
 		{"detect/shard/4", benchShardedReplay(4)},
 		{"detect/shard/8", benchShardedReplay(8)},
+		{"trace/decode", benchTraceDecode()},
 	}
 	return append(out, joinBenches()...)
 }

@@ -14,7 +14,7 @@
 # time: rows are taken in groups, all pairs of a group before the next.
 # A group is the rows sharing their first two name elements (htm/access,
 # sim/dispatch, detect/join, ...), which puts every two rows Gate compares
-# in the same window too. Every row runs at -benchtime 200ms: all 25 rows
+# in the same window too. Every row runs at -benchtime 200ms: all 26 rows
 # take about 3 minutes on 2 vCPUs.
 set -eu
 parent=$(realpath "$1")

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"sync"
@@ -67,6 +68,30 @@ func benchShardedReplay(shards int) func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := server.ReplaySharded(shardTrace, shards, shards); err != nil {
 				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// benchTraceDecode measures one ReadFrom of the synthetic trace's wire
+// bytes per op: the decoder txtrace -in, txserved sessions and
+// perfbench's trace-replay share. Encoding is set-up, outside the timer.
+func benchTraceDecode() func(b *testing.B) {
+	return func(b *testing.B) {
+		shardTraceOnce.Do(func() { shardTrace = buildShardTrace() })
+		var buf bytes.Buffer
+		if _, err := shardTrace.WriteTo(&buf); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tr, err := trace.ReadFrom(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if tr.Len() != shardTrace.Len() {
+				b.Fatalf("decoded %d events, encoded %d", tr.Len(), shardTrace.Len())
 			}
 		}
 	}

@@ -23,6 +23,29 @@ func fuzzSeedTrace() *Trace {
 	)
 }
 
+// fuzzLongTrace is a genuine trace several maxEventV2 windows long whose
+// events take the decoder's longer forms: tids of 128 and up (2-byte
+// varints), address and site deltas of 3 bytes and more, sync ids of 3
+// bytes, and fork/join events.
+func fuzzLongTrace() *Trace {
+	tr := &Trace{Name: "long"}
+	for i := 0; i < 48; i++ {
+		tid := int32(128 + 97*(i%4))
+		switch i % 6 {
+		case 0:
+			tr.Append(Event{Kind: KFork, TID: tid, Other: tid + 1})
+		case 3:
+			tr.Append(Event{Kind: KAcquire + Kind(i%2), TID: tid, Sync: detect.SyncID(1<<20 + i), SyncKind: sim.SyncKind(i % 3)})
+		case 5:
+			tr.Append(Event{Kind: KJoin, TID: tid, Other: tid + 1})
+		default:
+			tr.Append(Event{Kind: KAccess, TID: tid, Write: i%2 == 0,
+				Addr: memmodel.Addr(uint64(i) << (14 + i%40)), Site: shadow.SiteID(uint32(i) << 16)})
+		}
+	}
+	return tr
+}
+
 // normalizeV2 clears the fields the v2 wire format does not carry for a
 // kind (the flags byte always carries Kind/Write/SyncKind; the payload
 // varints are kind-specific), so round-trip comparisons test exactly what
@@ -40,8 +63,12 @@ func normalizeV2(e Event) Event {
 }
 
 // FuzzReadFrom hardens the trace deserializer against corrupt and
-// adversarial inputs: it must never panic, and every input it accepts must
-// re-serialize through WriteTo and decode to the same events.
+// adversarial inputs: it must never panic, every input must decode alike
+// however the source cuts it into reads, and every input it accepts must
+// re-serialize through WriteTo and decode to the same events. The
+// reader-independence check is what pits decodeV2's zero-padded window
+// tail against its whole-window path on arbitrary bytes: a one-byte
+// reader decodes every event from the tail, bytes.Reader almost none.
 func FuzzReadFrom(f *testing.F) {
 	// Seed with a genuine trace, the same trace under the retired version
 	// 1 header, and a few mutations.
@@ -63,8 +90,12 @@ func FuzzReadFrom(f *testing.F) {
 	f.Add(v2.Bytes()[:8+len(tr.Name)-2])   // cut mid-name
 	f.Add(v2.Bytes()[:8+len(tr.Name)+3])   // cut mid-count
 	f.Add(v2.Bytes()[:8+len(tr.Name)+8+1]) // exactly one payload byte
+	var long bytes.Buffer
+	fuzzLongTrace().WriteTo(&long)
+	f.Add(long.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		requireReaderIndependent(t, "fuzz input", data)
 		got, err := ReadFrom(bytes.NewReader(data))
 		if err != nil {
 			return

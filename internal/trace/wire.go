@@ -282,9 +282,9 @@ func (sr *StreamReader) decodeAhead() (Event, error) {
 // read decodes up to min(len(dst), remaining) events into dst and returns
 // how many it delivered, with the error that stopped it after them, if
 // any. Events are decoded in place, straight from bufio's buffered
-// window. read waits for more bytes only when not one whole event is
-// buffered, and then through gatherV2, so it never waits for a byte past
-// an event it could deliver.
+// window, one decodeV2 call per window. read waits for more bytes only
+// when not one whole event is buffered, and then through gatherV2, so it
+// never waits for a byte past an event it could deliver.
 func (sr *StreamReader) read(dst []Event) (int, error) {
 	if uint64(len(dst)) > sr.remaining {
 		dst = dst[:sr.remaining]
@@ -292,23 +292,15 @@ func (sr *StreamReader) read(dst []Event) (int, error) {
 	n := 0
 	for n < len(dst) {
 		p, _ := sr.br.Peek(sr.br.Buffered())
-		off, first := 0, n
-		var err error
-		for n < len(dst) {
-			var m int
-			if m, err = decodeV2(p[off:], &sr.ds, &dst[n]); err != nil {
-				break
-			}
-			off += m
-			n++
-		}
+		off, m, err := decodeV2(p, &sr.ds, dst[n:])
 		sr.br.Discard(off)
-		sr.remaining -= uint64(n - first)
+		n += m
+		sr.remaining -= uint64(m)
 		if err == errShort {
 			if n > 0 {
 				break
 			}
-			if err = sr.gatherV2(len(p)-off, &dst[n]); err == nil {
+			if err = sr.gatherV2(len(p)-off, dst[n:n+1]); err == nil {
 				n++
 				sr.remaining--
 			}
@@ -327,12 +319,14 @@ func (sr *StreamReader) fail(start int64, err error) error {
 		sr.total-sr.remaining, start, err)
 }
 
-// gatherV2 decodes the event the buffered window cuts short after have
-// bytes. It grows the window one byte at a time and retries, so it never
-// waits for a byte past the event's own: a client that streams a whole
-// trace and then waits for its report, without half-closing, must get the
-// report. The event's bytes are consumed only on success.
-func (sr *StreamReader) gatherV2(have int, e *Event) error {
+// gatherV2 decodes into dst, one event long, the event the buffered window
+// cuts short after have bytes. It grows the window one byte at a time and
+// retries, so it never waits for a byte past the event's own: a client
+// that streams a whole trace and then waits for its report, without
+// half-closing, must get the report. Every retry decodes from decodeV2's
+// padded tail, as the window stays shorter than maxEventV2. The event's
+// bytes are consumed only on success.
+func (sr *StreamReader) gatherV2(have int, dst []Event) error {
 	for ; ; have++ {
 		p, err := sr.br.Peek(have + 1)
 		if err != nil {
@@ -341,10 +335,10 @@ func (sr *StreamReader) gatherV2(have int, e *Event) error {
 			}
 			return fmt.Errorf("truncated varint: %w", noEOF(err))
 		}
-		n, err := decodeV2(p, &sr.ds, e)
+		off, _, err := decodeV2(p, &sr.ds, dst)
 		if err != errShort {
 			if err == nil {
-				sr.br.Discard(n)
+				sr.br.Discard(off)
 			}
 			return err
 		}
@@ -352,8 +346,10 @@ func (sr *StreamReader) gatherV2(have int, e *Event) error {
 }
 
 // maxEventV2 is the longest v2 event: the flags byte and three varints.
-// decodeV2 never reports errShort on a window at least this long, so
-// gatherV2 runs only while fewer bytes than this are buffered.
+// decodeV2 reads every event from a maxEventV2-byte view, so no field
+// needs its own length check, and it never reports errShort on a window
+// at least this long: gatherV2 runs only while fewer bytes than this are
+// buffered.
 const maxEventV2 = 1 + 3*binary.MaxVarintLen64
 
 var (
@@ -362,91 +358,125 @@ var (
 	errVarintOverflow = errors.New("varint overflows 64 bits")
 )
 
-// decodeV2 decodes the v2 event at the start of p into *e and returns its
-// length. It returns errShort when p ends inside the event; any other error
-// is a malformation no further bytes can mend, reported as soon as the
-// bytes before it settle it. *e and ds change only on success, so a short
-// decode can be retried on a longer window and every way of cutting a
-// stream into reads decodes it alike.
-func decodeV2(p []byte, ds *deltaState, e *Event) (int, error) {
-	if len(p) == 0 {
-		return 0, errShort
-	}
-	b0 := p[0]
-	kind := Kind(b0 & 7)
-	if kind >= kindCount {
-		return 0, fmt.Errorf("invalid event kind %d", kind)
-	}
-	if b0 >= 0x80 {
-		// Sync kinds are 3 bits wide on the wire.
-		return 0, fmt.Errorf("invalid sync kind %d", b0>>4)
-	}
-	tid, n, err := uvarint(p[1:])
-	if err != nil {
-		return 0, err
-	}
-	if tid > maxTID {
-		return 0, fmt.Errorf("implausible tid %d", tid)
-	}
-	n++
-	ev := Event{
-		TID:      int32(tid),
-		Kind:     kind,
-		Write:    b0&(1<<3) != 0,
-		SyncKind: sim.SyncKind(b0 >> 4),
-	}
-	switch kind {
-	case KAccess:
-		da, m, err := uvarint(p[n:])
-		if err != nil {
-			return 0, err
+// decodeV2 decodes the v2 events at the start of p into dst, stopping when
+// dst is full, and returns the bytes and events it delivered with the
+// error that stopped it early, if any. It returns errShort when p ends
+// inside (or right before) the next event; any other error is a
+// malformation no further bytes can mend, reported as soon as the bytes
+// before it settle it. An event writes dst and ds only once it has decoded
+// whole, so a short decode can be retried on a longer window and every way
+// of cutting a stream into reads decodes it alike.
+//
+// Each event is decoded from a view of maxEventV2 bytes, the longest an
+// event can be, so no field read checks the length. While maxEventV2 or
+// more bytes remain the view is a slice of p; the last few events of a
+// window are decoded from a zero-padded copy of its tail. A zero ends any
+// varint, so a field cut by the window's end ends inside the padding, and
+// the one check after each varint, that its end index lies within the
+// real bytes, turns it into errShort before any range check sees the
+// padded value.
+func decodeV2(p []byte, ds *deltaState, dst []Event) (off, n int, err error) {
+	var pad [maxEventV2]byte
+	for ; n < len(dst); n++ {
+		q, avail := p[off:], len(p)-off
+		if avail < maxEventV2 {
+			if avail == 0 {
+				return off, n, errShort
+			}
+			clear(pad[copy(pad[:], q):])
+			q = pad[:]
 		}
-		n += m
-		dsite, m, err := uvarint(p[n:])
-		if err != nil {
-			return 0, err
+		q = q[:maxEventV2] // the same fixed-length view on both paths
+		b0 := q[0]
+		kind := Kind(b0 & 7)
+		if kind >= kindCount {
+			return off, n, fmt.Errorf("invalid event kind %d", kind)
 		}
-		n += m
-		la := ds.at(ev.TID)
-		la.addr = uint64(int64(la.addr) + unzigzag(da))
-		la.site = uint32(int64(la.site) + unzigzag(dsite))
-		ev.Addr, ev.Site = memmodel.Addr(la.addr), shadow.SiteID(la.site)
-	case KAcquire, KRelease:
-		s, m, err := uvarint(p[n:])
-		if err != nil {
-			return 0, err
+		if b0 >= 0x80 {
+			// Sync kinds are 3 bits wide on the wire.
+			return off, n, fmt.Errorf("invalid sync kind %d", b0>>4)
 		}
-		n += m
-		ev.Sync = detect.SyncID(s)
-	default: // KFork, KJoin
-		o, m, err := uvarint(p[n:])
-		if err != nil {
-			return 0, err
+		tid, i := uint64(q[1]), 2
+		if tid >= 0x80 {
+			tid, i = varintLong(q, 1)
 		}
-		if o > maxTID {
-			return 0, fmt.Errorf("implausible thread id %d", o)
+		// One unsigned compare catches both an overflowed varint (i < 0)
+		// and one that ends past the real bytes.
+		if uint(i) > uint(avail) {
+			return off, n, endErr(i)
 		}
-		n += m
-		ev.Other = int32(o)
+		if tid > maxTID {
+			return off, n, fmt.Errorf("implausible tid %d", tid)
+		}
+		// The first payload varint: an access's address delta, or the
+		// sync or thread id. Most take 1 or 2 bytes.
+		var v uint64
+		if b := q[i]; b < 0x80 {
+			v, i = uint64(b), i+1
+		} else if c := q[i+1]; c < 0x80 {
+			v, i = uint64(b&0x7f)|uint64(c)<<7, i+2
+		} else {
+			v, i = varintLong(q, i)
+		}
+		if uint(i) > uint(avail) {
+			return off, n, endErr(i)
+		}
+		e := Event{
+			TID:      int32(tid),
+			Kind:     kind,
+			Write:    b0&(1<<3) != 0,
+			SyncKind: sim.SyncKind(b0 >> 4),
+		}
+		switch kind {
+		case KAccess:
+			var dsite uint64
+			if b := q[i]; b < 0x80 {
+				dsite, i = uint64(b), i+1
+			} else if c := q[i+1]; c < 0x80 {
+				dsite, i = uint64(b&0x7f)|uint64(c)<<7, i+2
+			} else {
+				dsite, i = varintLong(q, i)
+			}
+			if uint(i) > uint(avail) {
+				return off, n, endErr(i)
+			}
+			la := ds.at(e.TID)
+			la.addr = uint64(int64(la.addr) + unzigzag(v))
+			la.site = uint32(int64(la.site) + unzigzag(dsite))
+			e.Addr, e.Site = memmodel.Addr(la.addr), shadow.SiteID(la.site)
+		case KAcquire, KRelease:
+			e.Sync = detect.SyncID(v)
+		default: // KFork, KJoin
+			if v > maxTID {
+				return off, n, fmt.Errorf("implausible thread id %d", v)
+			}
+			e.Other = int32(v)
+		}
+		dst[n] = e
+		off += i
 	}
-	*e = ev
-	return n, nil
+	return off, n, nil
 }
 
-// uvarint decodes the varint at the start of p, returning errShort when p
-// ends inside it.
-func uvarint(p []byte) (uint64, int, error) {
-	if len(p) > 0 && p[0] < 0x80 {
-		return uint64(p[0]), 1, nil
+// varintLong decodes the varint at q[i:], which holds at least
+// binary.MaxVarintLen64 bytes, and returns it with its end index, or -1
+// when it overflows 64 bits. decodeV2 inlines the common short forms and
+// calls it for the rest.
+func varintLong(q []byte, i int) (uint64, int) {
+	v, m := binary.Uvarint(q[i : i+binary.MaxVarintLen64])
+	if m <= 0 {
+		return 0, -1
 	}
-	v, n := binary.Uvarint(p)
-	switch {
-	case n > 0:
-		return v, n, nil
-	case n < 0 || len(p) >= binary.MaxVarintLen64:
-		return 0, 0, errVarintOverflow
+	return v, i + m
+}
+
+// endErr is the error for a varint whose end index i is not within the
+// real bytes: -1 marks an overflow, anything else runs past the window.
+func endErr(i int) error {
+	if i < 0 {
+		return errVarintOverflow
 	}
-	return 0, 0, errShort
+	return errShort
 }
 
 // noEOF converts a bare io.EOF inside a record into ErrUnexpectedEOF: the

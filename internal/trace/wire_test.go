@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -66,6 +68,22 @@ func TestDeltaStateGrowsGeometrically(t *testing.T) {
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 3*state {
 		t.Fatalf("decoding %d ascending tids allocated %d bytes, want <= 3x the final %d-byte delta state",
 			n, alloc, state)
+	}
+}
+
+// TestWireBytesPinned pins the encoder: WriteTo on the raytrace recording
+// at seed 7 must keep writing these exact 65247 bytes, the file `txtrace
+// -app raytrace -seed 7 -out` writes. The decoder may be rewritten for
+// speed; the format it reads may not move with it.
+func TestWireBytesPinned(t *testing.T) {
+	const want = "b30f2350bcf5f4f7ad67932b88ec0247a849fc165f04c9a7423b219b059056e0"
+	var buf bytes.Buffer
+	if _, err := record(t, "raytrace", 7).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("raytrace seed 7 encodes to %d bytes with sha256 %s, want %s", buf.Len(), got, want)
 	}
 }
 
@@ -229,7 +247,7 @@ func TestDecodeReaderIndependent(t *testing.T) {
 	var ds deltaState
 	for off := range wire {
 		window := append(append([]byte(nil), wire[off:]...), make([]byte, maxEventV2)...)[:maxEventV2]
-		if _, err := decodeV2(window, &ds, new(Event)); err == errShort {
+		if _, _, err := decodeV2(window, &ds, make([]Event, 1)); err == errShort {
 			t.Fatalf("a %d-byte window at offset %d decoded short", maxEventV2, off)
 		}
 	}
