@@ -22,7 +22,7 @@ func TestValidateBackend(t *testing.T) {
 		{"bounded", true},
 		{"", true}, // unset means the default machine
 		{"directory", false},
-		{"refscan", false}, // test-only resolver, not a CLI backend
+		{"refscan", false}, // the retired reference resolver was never a backend
 		{"hashset", false},
 		{"DIR", false},
 		{"dir,tag", false},

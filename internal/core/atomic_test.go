@@ -1,16 +1,18 @@
 package core_test
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/detect"
 	"repro/internal/instrument"
 	"repro/internal/memmodel"
 	"repro/internal/sim"
 )
 
 // TestAtomicCounterNoFalsePositive: a lock-free counter implemented with
-// atomic RMWs is race-free end to end under both detectors; the same
+// atomic RMWs is race-free end to end under every detector; the same
 // counter bumped with plain stores is a race.
 func TestAtomicCounterNoFalsePositive(t *testing.T) {
 	build := func(atomic bool) *sim.Program {
@@ -29,22 +31,41 @@ func TestAtomicCounterNoFalsePositive(t *testing.T) {
 		return &sim.Program{Name: "counter", Workers: [][]sim.Instr{mk(1000, 2000), mk(1001, 5000)}}
 	}
 
-	tx := core.NewTxRace(core.Options{})
-	if _, err := sim.NewEngine(quietConfig()).Run(
-		instrument.ForTxRace(build(true), instrument.DefaultOptions()), tx); err != nil {
-		t.Fatal(err)
-	}
-	if tx.Detector().RaceCount() != 0 {
-		t.Fatalf("atomic counter flagged: %v", tx.Detector().Races())
-	}
-
-	tx = core.NewTxRace(core.Options{})
-	if _, err := sim.NewEngine(quietConfig()).Run(
-		instrument.ForTxRace(build(false), instrument.DefaultOptions()), tx); err != nil {
-		t.Fatal(err)
-	}
-	if !hasRace(tx, 1000, 1001) {
-		t.Fatal("plain-store counter race missed")
+	// Each entry runs a program under one detector and returns the detector.
+	for _, d := range []struct {
+		name string
+		run  func(p *sim.Program) (*detect.Detector, error)
+	}{
+		{"txrace", func(p *sim.Program) (*detect.Detector, error) {
+			rt := core.NewTxRace(core.Options{})
+			_, err := sim.NewEngine(quietConfig()).Run(instrument.ForTxRace(p, instrument.DefaultOptions()), rt)
+			return rt.Detector(), err
+		}},
+		{"tsan", func(p *sim.Program) (*detect.Detector, error) {
+			rt := core.NewTSan()
+			_, err := sim.NewEngine(quietConfig()).Run(instrument.ForTSan(p), rt)
+			return rt.Detector(), err
+		}},
+		{"sampling(1)", func(p *sim.Program) (*detect.Detector, error) {
+			rt := core.NewSampling(1, 1, detect.Config{})
+			_, err := sim.NewEngine(quietConfig()).Run(instrument.ForTSan(p), rt)
+			return rt.Detector(), err
+		}},
+	} {
+		det, err := d.run(build(true))
+		if err != nil {
+			t.Fatalf("%s: %v", d.name, err)
+		}
+		if det.RaceCount() != 0 {
+			t.Errorf("%s: atomic counter flagged: %v", d.name, det.Races())
+		}
+		det, err = d.run(build(false))
+		if err != nil {
+			t.Fatalf("%s: %v", d.name, err)
+		}
+		if keys := det.RaceKeys(); !reflect.DeepEqual(keys, []detect.PairKey{{A: 1000, B: 1001}}) {
+			t.Errorf("%s: plain-store counter races %v, want the 1000/1001 race", d.name, keys)
+		}
 	}
 }
 

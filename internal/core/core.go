@@ -1,8 +1,8 @@
 // Package core implements the TxRace runtime — the paper's primary
 // contribution — together with the comparison runtimes the evaluation needs:
 // an uninstrumented baseline, a full happens-before detector (the TSan
-// stand-in), and a sampling detector (the LiteRace-style baseline of
-// Figures 11–13).
+// stand-in), which at a sampling rate below 1 is also the LiteRace-style
+// baseline of Figures 11–13.
 //
 // The TxRace runtime (§3–§5 of the paper) drives two-phase detection:
 //

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+
 	"repro/internal/clock"
 	"repro/internal/detect"
 	"repro/internal/memmodel"
@@ -17,10 +19,19 @@ type Baseline struct{ sim.NopRuntime }
 // ThreadSanitizer: every hooked access pays the shadow-check cost and goes
 // to the detector; every sync operation pays the vector-clock cost. Run it
 // on a program instrumented by instrument.ForTSan.
+//
+// Built by NewSampling, it is also the paper's "TSan+Sampling" baseline
+// (Figures 11–13): each hooked access is analyzed only with probability
+// rate, in the style of LiteRace/Pacer.
 type TSan struct {
 	sim.NopRuntime
 	det *detect.Detector
 	eng *sim.Engine
+
+	// rate is the probability an access is analyzed; rng draws the
+	// decision, and is nil when every access is analyzed.
+	rate float64
+	rng  *rand.Rand
 
 	// SlowScale multiplies the per-access hook cost; see Options.SlowScale.
 	SlowScale float64
@@ -34,6 +45,24 @@ func NewTSan() *TSan { return NewTSanWith(detect.Config{}) }
 // reference path for differential runs).
 func NewTSanWith(cfg detect.Config) *TSan {
 	return &TSan{det: detect.NewWith(cfg), SlowScale: 1}
+}
+
+// NewSampling returns a TSan runtime that analyzes each hooked access with
+// probability rate in [0,1], drawing from a PRNG seeded with seed; at rate 1
+// it draws nothing and is TSan. A skipped access pays only the sampling
+// gate and leaves no shadow state, so both halves of a race must be sampled
+// for the race to be found — the recall loss of Figure 13. Synchronization
+// is always tracked: dropping it would corrupt the happens-before relation
+// rather than merely lose coverage.
+func NewSampling(rate float64, seed int64, cfg detect.Config) *TSan {
+	if rate < 0 || rate > 1 {
+		panic("core: sampling rate out of [0,1]")
+	}
+	r := NewTSanWith(cfg)
+	if rate < 1 {
+		r.rate, r.rng = rate, rand.New(rand.NewSource(seed))
+	}
+	return r
 }
 
 // Detector exposes the underlying detector.
@@ -75,7 +104,8 @@ func (r *TSan) SyncRelease(t *sim.Thread, s sim.SyncID, kind sim.SyncKind) {
 	detect.ReleaseKind(r.det, clock.TID(t.ID), detect.SyncID(s), kind)
 }
 
-// Atomic implements sim.Runtime.
+// Atomic implements sim.Runtime. Atomics are synchronization, so they are
+// never sampled away.
 func (r *TSan) Atomic(t *sim.Thread, m *sim.AtomicRMW, addr memmodel.Addr) {
 	r.eng.ChargeAs(t, r.eng.Config().Cost.SlowSyncHook, obs.PhaseSlow)
 	detect.AtomicOp(r.det, clock.TID(t.ID), addr, m.Site)
@@ -86,82 +116,12 @@ func (r *TSan) Access(t *sim.Thread, m *sim.MemAccess, addr memmodel.Addr) {
 	if !m.Hooked {
 		return
 	}
-	r.eng.ChargeAs(t, int64(float64(r.eng.Config().Cost.SlowAccessHook)*r.SlowScale), obs.PhaseSlow)
-	r.det.Access(clock.TID(t.ID), addr, m.Write, m.Site)
-}
-
-// Sampling is TSan with per-access sampling at a fixed rate — the
-// cost-effectiveness baseline of Figures 11–13.
-type Sampling struct {
-	sim.NopRuntime
-	s   *detect.Sampler
-	eng *sim.Engine
-
-	// SlowScale as in TSan.
-	SlowScale float64
-}
-
-// NewSampling returns a sampling runtime at the given rate.
-func NewSampling(rate float64, seed int64) *Sampling {
-	return NewSamplingWith(rate, seed, detect.Config{})
-}
-
-// NewSamplingWith is NewSampling over a specific detector clock
-// configuration.
-func NewSamplingWith(rate float64, seed int64, cfg detect.Config) *Sampling {
-	return &Sampling{s: detect.NewSamplerWith(rate, seed, cfg), SlowScale: 1}
-}
-
-// Sampler exposes the underlying sampler.
-func (r *Sampling) Sampler() *detect.Sampler { return r.s }
-
-// Detector exposes the underlying detector.
-func (r *Sampling) Detector() *detect.Detector { return r.s.D }
-
-// Init implements sim.Runtime.
-func (r *Sampling) Init(e *sim.Engine) { r.eng = e }
-
-// Fork implements sim.Runtime.
-func (r *Sampling) Fork(p, c *sim.Thread) { r.s.Fork(clock.TID(p.ID), clock.TID(c.ID)) }
-
-// Joined implements sim.Runtime.
-func (r *Sampling) Joined(p, c *sim.Thread) { r.s.Join(clock.TID(p.ID), clock.TID(c.ID)) }
-
-// JoinedAll implements sim.BatchJoiner.
-func (r *Sampling) JoinedAll(p *sim.Thread, cs []*sim.Thread) {
-	r.s.D.JoinAllChildren(clock.TID(p.ID), childTIDs(cs))
-}
-
-// SyncAcquire implements sim.Runtime.
-func (r *Sampling) SyncAcquire(t *sim.Thread, s sim.SyncID, kind sim.SyncKind) {
-	r.eng.ChargeAs(t, r.eng.Config().Cost.SlowSyncHook, obs.PhaseSlow)
-	detect.AcquireKind(r.s.D, clock.TID(t.ID), detect.SyncID(s), kind)
-}
-
-// SyncRelease implements sim.Runtime.
-func (r *Sampling) SyncRelease(t *sim.Thread, s sim.SyncID, kind sim.SyncKind) {
-	r.eng.ChargeAs(t, r.eng.Config().Cost.SlowSyncHook, obs.PhaseSlow)
-	detect.ReleaseKind(r.s.D, clock.TID(t.ID), detect.SyncID(s), kind)
-}
-
-// Atomic implements sim.Runtime. Atomics are synchronization, so they are
-// never sampled away.
-func (r *Sampling) Atomic(t *sim.Thread, m *sim.AtomicRMW, addr memmodel.Addr) {
-	r.eng.ChargeAs(t, r.eng.Config().Cost.SlowSyncHook, obs.PhaseSlow)
-	detect.AtomicOp(r.s.D, clock.TID(t.ID), addr, m.Site)
-}
-
-// Access implements sim.Runtime.
-func (r *Sampling) Access(t *sim.Thread, m *sim.MemAccess, addr memmodel.Addr) {
-	if !m.Hooked {
+	if r.rng != nil && r.rng.Float64() >= r.rate {
+		r.eng.ChargeAs(t, r.eng.Config().Cost.SampleGate, obs.PhaseSample)
 		return
 	}
-	cost := r.eng.Config().Cost
-	if r.s.Access(clock.TID(t.ID), addr, m.Write, m.Site) {
-		r.eng.ChargeAs(t, int64(float64(cost.SlowAccessHook)*r.SlowScale), obs.PhaseSlow)
-	} else {
-		r.eng.ChargeAs(t, cost.SampleGate, obs.PhaseSample)
-	}
+	r.eng.ChargeAs(t, int64(float64(r.eng.Config().Cost.SlowAccessHook)*r.SlowScale), obs.PhaseSlow)
+	r.det.Access(clock.TID(t.ID), addr, m.Write, m.Site)
 }
 
 // Finish folds the detector's shadow allocation and clock-representation
@@ -170,14 +130,5 @@ func (r *TSan) Finish(e *sim.Engine) {
 	s := r.det.ShadowStats()
 	e.Config().Obs.ShadowMemStats(s.Pages, s.PoolHits, s.PoolMisses)
 	cs := r.det.ClockStats()
-	e.Config().Obs.ClockSparseStats(cs.Promotions, cs.Collapses, cs.Fallbacks)
-}
-
-// Finish folds the detector's shadow allocation and clock-representation
-// counters into the metrics.
-func (r *Sampling) Finish(e *sim.Engine) {
-	s := r.s.D.ShadowStats()
-	e.Config().Obs.ShadowMemStats(s.Pages, s.PoolHits, s.PoolMisses)
-	cs := r.s.D.ClockStats()
 	e.Config().Obs.ClockSparseStats(cs.Promotions, cs.Collapses, cs.Fallbacks)
 }

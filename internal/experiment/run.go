@@ -43,9 +43,7 @@ type Config struct {
 	// Backend selects the HTM conflict backend the TxRace runs use: "" or
 	// "dir" is the line-ownership directory (the default machine,
 	// bit-identical to a zero htm.Config), "tag" the HMTRace-style owner
-	// tags, "bounded" the FORTH-style entry-capped sets. "refscan" runs the
-	// directory backend's reference resolver — accepted here for the
-	// package's differential suites, but not a CLI-valid name. The ProfCut
+	// tags, "bounded" the FORTH-style entry-capped sets. The ProfCut
 	// profiling pass uses the same backend as the measured run (its
 	// capacity-abort pattern feeds the thresholds), so profile memoization
 	// is keyed by backend too. Baselines never touch the HTM.
@@ -107,15 +105,7 @@ func (c Config) withDefaults() Config {
 // htm.DefaultConfig(), exactly the pre-seam behavior — so default-backend
 // runs stay bit-identical to configs that predate backend selection.
 func (c Config) htmConfig() htm.Config {
-	var hc htm.Config
-	switch c.Backend {
-	case "", "dir":
-	case "refscan":
-		hc.RefScan = true
-	default:
-		hc.Backend = c.Backend
-	}
-	return hc
+	return htm.Config{Backend: c.backendKey()}
 }
 
 // detectConfig translates Config.RefDense into the detector clock
@@ -195,12 +185,16 @@ func RunBaseline(w *workload.Workload, cfg Config, seed uint64) (*BaselineRun, e
 // RunTSan executes under full happens-before detection.
 func RunTSan(w *workload.Workload, cfg Config, seed uint64) (*TSanRun, error) {
 	cfg = cfg.withDefaults()
+	return runTSan(w, cfg, seed, core.NewTSanWith(cfg.detectConfig()), "tsan")
+}
+
+// runTSan runs w under rt, a TSan runtime, and labels errors with label.
+func runTSan(w *workload.Workload, cfg Config, seed uint64, rt *core.TSan, label string) (*TSanRun, error) {
 	built := w.Build(cfg.Threads, cfg.Scale)
-	rt := core.NewTSanWith(cfg.detectConfig())
 	rt.SlowScale = w.SlowScale
 	res, err := sim.NewEngine(cfg.engineConfig(w, seed)).Run(instrument.ForTSan(built.Prog), rt)
 	if err != nil {
-		return nil, fmt.Errorf("%s tsan: %w", w.Name, err)
+		return nil, fmt.Errorf("%s %s: %w", w.Name, label, err)
 	}
 	return &TSanRun{
 		Makespan: res.Makespan,
@@ -272,17 +266,6 @@ func RunTxRaceFault(w *workload.Workload, cfg Config, seed uint64, plan fault.Pl
 // RunSampling executes under TSan with per-access sampling.
 func RunSampling(w *workload.Workload, cfg Config, seed uint64, rate float64) (*TSanRun, error) {
 	cfg = cfg.withDefaults()
-	built := w.Build(cfg.Threads, cfg.Scale)
-	rt := core.NewSamplingWith(rate, int64(seed)+7, cfg.detectConfig())
-	rt.SlowScale = w.SlowScale
-	res, err := sim.NewEngine(cfg.engineConfig(w, seed)).Run(instrument.ForTSan(built.Prog), rt)
-	if err != nil {
-		return nil, fmt.Errorf("%s sampling(%.0f%%): %w", w.Name, rate*100, err)
-	}
-	return &TSanRun{
-		Makespan: res.Makespan,
-		Races:    rt.Detector().RaceKeys(),
-		Checks:   rt.Detector().Checks,
-		Clock:    rt.Detector().ClockStats(),
-	}, nil
+	rt := core.NewSampling(rate, int64(seed)+7, cfg.detectConfig())
+	return runTSan(w, cfg, seed, rt, fmt.Sprintf("sampling(%.0f%%)", rate*100))
 }

@@ -35,12 +35,14 @@
 package frontend
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 
 	"repro/internal/memmodel"
 	"repro/internal/sim"
@@ -107,7 +109,18 @@ func (p *Program) SiteOn(line int, write bool) (sim.SiteID, error) {
 
 // Compile parses, type-checks, and lowers one Go source file. The file must
 // be package main with a func main; the only permitted import is "sync".
+// Errors are one line.
 func Compile(name string, src []byte) (*Program, error) {
+	p, err := compileFile(name, src)
+	if err != nil {
+		// Parse errors can quote source text, and go/types puts some detail
+		// on indented lines ("\n\thave ()\n\twant (int)"): fold them.
+		return nil, errors.New(strings.Join(strings.Fields(err.Error()), " "))
+	}
+	return p, nil
+}
+
+func compileFile(name string, src []byte) (*Program, error) {
 	fset := token.NewFileSet()
 	file, err := parser.ParseFile(fset, name+".go", src, parser.SkipObjectResolution)
 	if err != nil {

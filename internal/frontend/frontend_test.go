@@ -25,6 +25,9 @@ func TestCompileErrors(t *testing.T) {
 	}{
 		{"no-main", `package main
 var x int`, "no func main"},
+		{"bodyless-func", `package main
+func ext()
+func main() { ext() }`, "function ext has no body"},
 		{"method", `package main
 type T struct{}
 func (T) M() {}

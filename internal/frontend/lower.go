@@ -203,6 +203,9 @@ func (lo *lowerer) collectDecls() error {
 			if d.Recv != nil {
 				return lo.errAt(d.Pos(), "methods are unsupported")
 			}
+			if d.Body == nil && d.Name.Name != "main" {
+				return lo.errAt(d.Pos(), "function %s has no body", d.Name.Name)
+			}
 			lo.funcs[d.Name.Name] = d
 			if d.Name.Name == "main" {
 				lo.mainFn = d
