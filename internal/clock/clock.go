@@ -125,7 +125,7 @@ func (v *VC) grow(n int) {
 func (v *VC) Clear(n int) {
 	if v.sparse || v.st != nil {
 		v.sparse = true
-		v.s = v.s[:0]
+		v.s = v.emptyEntries()
 		v.base = nil
 		v.span = n
 		v.t = v.t[:0]
@@ -139,6 +139,16 @@ func (v *VC) Clear(n int) {
 	for i := range v.t {
 		v.t[i] = 0
 	}
+}
+
+// emptyEntries returns v's entry array emptied for refilling. A promotion
+// leaves v.s nil and its array in scratch; that array is taken back, so a
+// clock that cycles between the two forms keeps its arrays.
+func (v *VC) emptyEntries() []entry {
+	if v.s == nil {
+		v.s, v.scratch = v.scratch, nil
+	}
+	return v.s[:0]
 }
 
 // Len returns the number of components currently materialized: the dense
@@ -218,14 +228,16 @@ func (v *VC) Join(o *VC) {
 	})
 }
 
-// Assign copies o's value (and representation) into v.
+// Assign copies o's value (and representation) into v, reusing v's arrays:
+// assigned into a retired clock of the same Stats, it is an allocation-free
+// Clone.
 func (v *VC) Assign(o *VC) {
+	v.span = o.span
 	if o.sparse {
 		v.sparse = true
 		v.t = v.t[:0]
-		v.s = append(v.s[:0], o.s...)
+		v.s = append(v.emptyEntries(), o.s...)
 		v.base = o.base
-		v.span = o.span
 		return
 	}
 	v.sparse = false

@@ -418,6 +418,75 @@ func TestAssignAndCloneAcrossRepresentations(t *testing.T) {
 	}
 }
 
+// TestAssignIntoUsedClockIsClone: Assign into a clock that already carried
+// another value, in either representation, leaves it indistinguishable from
+// a Clone of the source, including the span that decides its next
+// promotion.
+func TestAssignIntoUsedClockIsClone(t *testing.T) {
+	var st Stats
+	based := NewSparse(&st)
+	other := NewSparse(&st)
+	for i := TID(0); i < 16; i++ {
+		based.Set(i, Time(i)+1)
+		other.Set(i, 1)
+	}
+	collapse(nil, []*VC{based, other})
+	based.Set(3, 40)
+	baseless := NewSparse(&st)
+	baseless.Set(2, 5)
+	baseless.Set(60, 1)
+	dense := NewSparse(&st)
+	for i := TID(0); i < 8; i++ {
+		dense.Set(i, 2)
+	}
+	srcs := map[string]*VC{"based": based, "baseless": baseless, "dense": dense}
+	for sname, src := range srcs {
+		for dname, used := range srcs {
+			dst := used.Clone()
+			dst.Assign(src)
+			want := src.Clone()
+			for i := TID(0); i < 8; i++ {
+				// The same sets from here on promote both or neither.
+				dst.Set(100+i, 7)
+				want.Set(100+i, 7)
+				if dst.Sparse() != want.Sparse() || dst.Len() != want.Len() ||
+					dst.BaseGen() != want.BaseGen() || dst.String() != want.String() {
+					t.Fatalf("%s into used %s, set %d: %v (sparse %v), Clone gives %v (sparse %v)",
+						sname, dname, i, dst, dst.Sparse(), want, want.Sparse())
+				}
+			}
+		}
+	}
+}
+
+// TestRecycledClockKeepsItsArrays: a clock that promotes to dense and is
+// then cleared or assigned a sparse value reuses the entry array the
+// promotion set aside, so recycling it allocates nothing once warm.
+func TestRecycledClockKeepsItsArrays(t *testing.T) {
+	var st Stats
+	src := NewSparse(&st)
+	src.Set(1, 3)
+	src.Set(6, 2)
+	v := NewSparse(&st)
+	cycle := func() {
+		for i := TID(0); i < 8; i++ {
+			v.Set(i, 1)
+		}
+		if v.Sparse() {
+			t.Fatal("setup: expected promotion")
+		}
+		v.Clear(8)
+		for i := TID(0); i < 8; i++ {
+			v.Set(i, 1)
+		}
+		v.Assign(src)
+	}
+	cycle()
+	if n := testing.AllocsPerRun(50, cycle); n != 0 {
+		t.Fatalf("promote/Clear/Assign cycle allocates %.1f objects, want 0", n)
+	}
+}
+
 // FuzzVCJoinEquivalence drives three representations — dense, pure sparse
 // (never collapsed), and delta (sparse with periodic collapse rounds) —
 // through one randomized op sequence and asserts they agree on

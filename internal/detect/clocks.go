@@ -8,12 +8,17 @@ import "repro/internal/clock"
 // uses it alone and hands each access a Snapshot of its thread's clock.
 //
 // Snapshots are copy-on-write: handing one out marks the clock shared, and
-// the next sync operation that would mutate it clones it first (clock.Clone
-// shares the immutable sparse base, so a clone is O(live entries)). Between
-// two sync operations of a thread, all its accesses share one snapshot.
-// Epoch-collapse is not part of this half: rebasing would mutate clocks
-// snapshot holders still read, so only Detector, which hands none out,
-// collapses.
+// the next sync operation that would mutate it retires it and continues on
+// a copy (clock.Clone shares the immutable sparse base, so a copy is O(live
+// entries)). Between two sync operations of a thread, all its accesses share
+// one snapshot. Epoch-collapse is not part of this half: rebasing would
+// mutate clocks snapshot holders still read, so only Detector, which hands
+// none out, collapses.
+//
+// A retired clock is recycled once its holders are done: the caller of
+// Snapshot reports progress through Recycle, and the copy a later mutation
+// needs is assigned into a recycled clock instead of allocated. Detector
+// hands out no snapshots, so it retires nothing.
 type Clocks struct {
 	threads  []*clock.VC
 	shared   []bool // threads[i] has outstanding snapshots
@@ -21,6 +26,20 @@ type Clocks struct {
 	refDense bool
 	stats    *clock.Stats // shared by every clock this half creates
 	buf      []*clock.VC
+
+	// retired holds the clocks mutable replaced, oldest first; the first
+	// tagged of them carry the Recycle time they were retired by, the rest
+	// were retired since the last Recycle. free holds recycled clocks.
+	retired []retiredClock
+	tagged  int
+	free    []*clock.VC
+}
+
+// retiredClock is a thread clock snapshot holders may still read: every
+// holder's index is below at.
+type retiredClock struct {
+	vc *clock.VC
+	at uint64
 }
 
 // NewClocks returns an empty clock half with sparse clocks.
@@ -79,16 +98,44 @@ func (k *Clocks) newThread(tid clock.TID) *clock.VC {
 	return v
 }
 
-// mutable returns tid's clock for in-place mutation, cloning it first if a
-// snapshot of it is still outstanding.
+// mutable returns tid's clock for in-place mutation. If a snapshot of it is
+// still outstanding, the clock is retired and tid continues on a copy, made
+// in a recycled clock when there is one.
 func (k *Clocks) mutable(tid clock.TID) *clock.VC {
 	v := k.thread(tid)
 	if k.shared[tid] {
-		v = v.Clone()
+		k.retired = append(k.retired, retiredClock{vc: v})
+		if n := len(k.free); n > 0 {
+			c := k.free[n-1]
+			k.free = k.free[:n-1]
+			c.Assign(v)
+			v = c
+		} else {
+			v = v.Clone()
+		}
 		k.threads[tid] = v
 		k.shared[tid] = false
 	}
 	return v
+}
+
+// Recycle tags every clock retired since the last call with now, an upper
+// bound on the index of every snapshot holder, and recycles every retired
+// clock tagged at or below done: the caller promises that every holder
+// below done has finished reading its snapshot. Indices are the caller's;
+// both arguments must not decrease from call to call.
+func (k *Clocks) Recycle(now, done uint64) {
+	for i := k.tagged; i < len(k.retired); i++ {
+		k.retired[i].at = now
+	}
+	n := 0
+	for n < len(k.retired) && k.retired[n].at <= done {
+		k.free = append(k.free, k.retired[n].vc)
+		n++
+	}
+	k.tagged = copy(k.retired, k.retired[n:])
+	clear(k.retired[k.tagged:])
+	k.retired = k.retired[:k.tagged]
 }
 
 // Snapshot returns tid's current clock as an immutable snapshot: the caller

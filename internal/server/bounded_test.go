@@ -38,3 +38,29 @@ func TestSessionHostileAddressBounded(t *testing.T) {
 		}
 	}
 }
+
+// sessionMallocs returns the heap objects one lossless 4-shard session
+// allocates from NewSession to Finish on tr.
+func sessionMallocs(tr *trace.Trace) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	sess := NewSession(SessionConfig{Shards: 4, Workers: 2, BatchSize: 16, QueueBatches: 1})
+	tr.ForEach(sess.Feed)
+	sess.Finish(tr.Name)
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestSessionAllocationBounded pins snapshot recycling: once a session is
+// warm, a sync event costs no allocation, so a lock-heavy trace four times
+// as long makes about as many objects. Without recycling every retired
+// thread clock is a new one, and the count grows with the sync events.
+func TestSessionAllocationBounded(t *testing.T) {
+	const n = 40 * blockEvents
+	short := sessionMallocs(syncEachAccessTrace(7, 8, n))
+	long := sessionMallocs(syncEachAccessTrace(7, 8, 4*n))
+	if long*4 >= short*5 {
+		t.Fatalf("%d events: %d mallocs; %d events: %d mallocs, want under 1.25x", n, short, 4*n, long)
+	}
+}

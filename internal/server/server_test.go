@@ -39,7 +39,10 @@ func TestSessionLosslessMatchesReference(t *testing.T) {
 // suite: every shape of the Feed-to-router-to-worker pipeline, from a
 // batch per access and a one-batch queue to the defaults, must report the
 // sequential detector's races and counts byte for byte. The traces include
-// one shorter than a router block and one an exact multiple of it.
+// one shorter than a router block, one an exact multiple of it, and one
+// where every access holds a snapshot the next sync event retires, so a
+// clock recycled before its last holder is detected shows at a batch of
+// one and a one-batch queue.
 func TestSessionPipelineMatchesReference(t *testing.T) {
 	rec := recordTrace(t, "raytrace", 7)
 	var evs []trace.Event
@@ -49,6 +52,7 @@ func TestSessionPipelineMatchesReference(t *testing.T) {
 		trace.FromEvents("block-multiple", evs[:2*blockEvents]...),
 		synthTrace(3, 8, 4000),
 		synthTrace(4, 8, blockEvents/2),
+		syncEachAccessTrace(5, 6, 6*blockEvents),
 	}
 	for _, tr := range traces {
 		ref := trace.Replay(tr)

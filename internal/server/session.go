@@ -44,7 +44,7 @@ const (
 // Upper bounds the commands enforce on their -shards, -batch and -queue
 // flags. A session starts one goroutine and one shard table per shard (with
 // the default worker count) and allocates Workers×(QueueBatches+1) queue
-// and free-list slots up front, so an unchecked flag value turns into
+// and batch-ring slots up front, so an unchecked flag value turns into
 // gigabytes of memory or millions of goroutines before the first event.
 const (
 	MaxShards       = 1024
@@ -75,6 +75,20 @@ type workItem struct {
 	batch   []shardEvt
 }
 
+// batchRing is one worker's queued batches in the order the router sent
+// them. The worker detects them in that order and publishes done once per
+// batch; the router takes back every batch below done, and the first index
+// of each batch from done to sent bounds the accesses still in flight. At
+// most QueueBatches+1 are out at once: a full queue and one being detected.
+type batchRing struct {
+	done  atomic.Uint64 // batches the worker has detected; worker writes
+	sent  uint64        // batches the router has queued; router only
+	taken uint64        // batches the router has taken back; router only
+	slots [][]shardEvt  // batch number mod QueueBatches+1
+}
+
+func (r *batchRing) slot(n uint64) *[]shardEvt { return &r.slots[n%uint64(len(r.slots))] }
+
 // The pipeline's fixed sizes. Feed hands the router whole blocks, so the
 // feeding goroutine pays one channel operation per block, not per event.
 const (
@@ -83,6 +97,9 @@ const (
 	// routerBlocks is how many full blocks may wait for the router before
 	// Feed waits.
 	routerBlocks = 4
+	// sessionBlocks is the most blocks a session makes (see handOff): one
+	// being filled, routerBlocks waiting and one being routed.
+	sessionBlocks = routerBlocks + 2
 )
 
 // Session is one client's streaming detection run, a three-stage pipeline.
@@ -96,6 +113,11 @@ const (
 // With Shed disabled the result is byte-identical to the sequential
 // detector; with Shed enabled it degrades to sampling under overload and
 // the Report carries the shed count and coverage.
+//
+// Once a session is warm its pipeline allocates nothing per event: blocks
+// come back to Feed, batches to the router, and the router recycles the
+// thread clocks its snapshots retired (see route). Only the shards' shadow
+// memory grows, with the addresses the trace touches.
 type Session struct {
 	cfg SessionConfig
 
@@ -109,6 +131,7 @@ type Session struct {
 	// Router goroutine only, until Finish has joined it.
 	clocks   *detect.Clocks
 	batches  [][]shardEvt
+	free     [][]shardEvt // detected batches taken back from the rings
 	events   uint64
 	shed     uint64
 	shedding bool
@@ -117,27 +140,26 @@ type Session struct {
 
 	states []*shardState
 	queues []chan workItem
-	free   chan []shardEvt // detected batches, workers back to the router
-	wg     sync.WaitGroup  // the router and the workers
+	rings  []batchRing    // one per worker, beside its queue
+	wg     sync.WaitGroup // the router and the workers
 }
 
 // NewSession starts a session's router and workers and returns it ready
 // for Feed.
 func NewSession(cfg SessionConfig) *Session {
 	cfg = cfg.withDefaults()
-	// The spare and free lists hold every block and batch that can be in
-	// flight at once, so a returned one is never dropped: a block is being
-	// filled, queued or routed, and a batch is queued or being detected.
+	// The spare list holds every block the session makes, so the router's
+	// hand-back never waits.
 	s := &Session{
 		cfg:     cfg,
 		block:   make([]trace.Event, 0, blockEvents),
 		blocks:  make(chan []trace.Event, routerBlocks),
-		spare:   make(chan []trace.Event, routerBlocks+2),
+		spare:   make(chan []trace.Event, sessionBlocks),
 		clocks:  detect.NewClocks(),
 		batches: make([][]shardEvt, cfg.Shards),
 		states:  make([]*shardState, cfg.Shards),
 		queues:  make([]chan workItem, cfg.Workers),
-		free:    make(chan []shardEvt, cfg.Workers*(cfg.QueueBatches+1)),
+		rings:   make([]batchRing, cfg.Workers),
 	}
 	for i := range s.states {
 		s.states[i] = newShardState()
@@ -146,6 +168,7 @@ func NewSession(cfg SessionConfig) *Session {
 	go s.route()
 	for w := range s.queues {
 		s.queues[w] = make(chan workItem, cfg.QueueBatches)
+		s.rings[w].slots = make([][]shardEvt, cfg.QueueBatches+1)
 		go s.worker(w)
 	}
 	if m := cfg.metrics; m != nil {
@@ -169,12 +192,8 @@ func (s *Session) worker(w int) {
 			m.queueDepth.Add(-1)
 			m.analyzed.Add(uint64(len(item.batch)))
 		}
-		// Drop the batch's clock snapshots before it waits for reuse.
-		clear(item.batch)
-		select {
-		case s.free <- item.batch[:0]:
-		default:
-		}
+		// The batch and its snapshots now belong to the router again.
+		s.rings[w].done.Add(1)
 	}
 }
 
@@ -189,7 +208,9 @@ func (s *Session) Feed(e trace.Event) {
 }
 
 // handOff sends the full block to the router and starts a new one on a
-// routed block when one has come back.
+// routed block when one has come back. It makes one only when none has:
+// then at most routerBlocks wait and one is being routed, so a session
+// never makes more than sessionBlocks.
 func (s *Session) handOff() {
 	s.blocks <- s.block
 	select {
@@ -203,19 +224,31 @@ func (s *Session) handOff() {
 // route is the router goroutine: it routes every block, then flushes the
 // pending batches, blocking (ingestion is over, so waiting no longer
 // stalls a client), and closes the worker queues.
+//
+// After each block it recycles snapshots. A thread clock the block's sync
+// events retired is held only by accesses routed before the block ended;
+// once the watermark passes that point, every such access has been
+// detected or shed, and the clock can take a new value. A batch still
+// pending from before the block is flushed first: a shard that sees few
+// accesses would otherwise hold the watermark, and every clock retired
+// after it, for as long as its batch takes to fill.
 func (s *Session) route() {
 	defer s.wg.Done()
 	for b := range s.blocks {
+		start := s.events
 		for i := range b {
 			s.routeEvent(&b[i])
 		}
 		if m := s.cfg.metrics; m != nil {
 			m.events.Add(uint64(len(b)))
 		}
-		select {
-		case s.spare <- b:
-		default:
+		s.spare <- b
+		for sh, p := range s.batches {
+			if len(p) > 0 && p[0].idx < start {
+				s.flush(sh, false)
+			}
 		}
+		s.clocks.Recycle(s.events, s.watermark())
 	}
 	for sh := range s.batches {
 		s.flush(sh, true)
@@ -270,6 +303,51 @@ func (s *Session) applySync(e *trace.Event) {
 	}
 }
 
+// watermark returns the index of the oldest access not yet detected: the
+// first access of a pending batch or of a batch a worker has not finished,
+// or the next index when there is none. Shed accesses are never detected
+// and hold nothing. Batches start at their lowest index, so one read per
+// batch suffices.
+func (s *Session) watermark() uint64 {
+	w := s.events
+	for _, b := range s.batches {
+		if len(b) > 0 {
+			w = min(w, b[0].idx)
+		}
+	}
+	for i := range s.rings {
+		r := &s.rings[i]
+		for n := r.done.Load(); n < r.sent; n++ {
+			w = min(w, (*r.slot(n))[0].idx)
+		}
+	}
+	return w
+}
+
+// nextBatch returns an empty batch for a shard: one the workers have
+// detected, or a new one when every batch the session has made is pending
+// or in flight. Pending batches are at most Shards and in-flight ones at
+// most Workers×(QueueBatches+1), so that caps the batches a session makes,
+// and the router never waits for one.
+func (s *Session) nextBatch() []shardEvt {
+	for i := range s.rings {
+		r := &s.rings[i]
+		// flush records a batch after queueing it, so the worker may be
+		// done with one the ring does not show yet.
+		for done := min(r.done.Load(), r.sent); r.taken < done; r.taken++ {
+			p := r.slot(r.taken)
+			s.free = append(s.free, (*p)[:0])
+			*p = nil
+		}
+	}
+	if n := len(s.free); n > 0 {
+		b := s.free[n-1]
+		s.free = s.free[:n-1]
+		return b
+	}
+	return make([]shardEvt, 0, s.cfg.BatchSize)
+}
+
 // queuesDrained reports whether every worker queue is back under half
 // capacity — the governor's recovery condition.
 func (s *Session) queuesDrained() bool {
@@ -289,17 +367,17 @@ func (s *Session) dropAccess(n int) {
 }
 
 // flush hands shard sh's pending batch to its worker. When shedding is
-// enabled and the worker queue is full, the batch is dropped and the
-// governor trips into sampling mode; blocking flushes (shed disabled, or
-// the final drain) wait instead. The shard's next batch is a detected one
-// a worker gave back, when there is one.
+// enabled and the worker queue is full, the batch is dropped, stays the
+// shard's batch, and the governor trips into sampling mode; blocking
+// flushes (shed disabled, or the final drain) wait instead.
 func (s *Session) flush(sh int, block bool) {
 	b := s.batches[sh]
 	if len(b) == 0 {
 		return
 	}
 	item := workItem{shard: sh, threads: s.clocks.NumThreads(), batch: b}
-	q := s.queues[sh%s.cfg.Workers]
+	w := sh % s.cfg.Workers
+	q := s.queues[w]
 	m := s.cfg.metrics
 	if s.cfg.Shed && !block {
 		select {
@@ -323,11 +401,10 @@ func (s *Session) flush(sh int, block bool) {
 			m.queueDepth.Add(1)
 		}
 	}
-	select {
-	case s.batches[sh] = <-s.free:
-	default:
-		s.batches[sh] = make([]shardEvt, 0, s.cfg.BatchSize)
-	}
+	s.batches[sh] = s.nextBatch()
+	r := &s.rings[w]
+	*r.slot(r.sent) = b
+	r.sent++
 }
 
 // Finish hands off the pending block and waits for the router to route it,

@@ -127,6 +127,37 @@ func synthTrace(seed uint64, threads, events int) *trace.Trace {
 	return tr
 }
 
+// syncEachAccessTrace generates the worst case for snapshot recycling:
+// every access follows a sync operation by its own thread, so each access
+// holds a fresh snapshot and the thread's next sync operation retires it.
+// Half the sync operations are releases and half acquires of three locks,
+// so whether two accesses race depends on exactly which clock each one
+// carries.
+func syncEachAccessTrace(seed uint64, threads, events int) *trace.Trace {
+	tr := &trace.Trace{Name: fmt.Sprintf("sync-each-access-%d", seed)}
+	rng := seed
+	next := func(n int) int {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		return int((rng >> 33) % uint64(n))
+	}
+	for c := 1; c < threads; c++ {
+		tr.Append(trace.Event{Kind: trace.KFork, TID: 0, Other: int32(c)})
+	}
+	for tr.Len() < events {
+		tid := int32(next(threads))
+		kind := trace.KAcquire
+		if next(2) == 0 {
+			kind = trace.KRelease
+		}
+		tr.Append(trace.Event{Kind: kind, TID: tid, Sync: detect.SyncID(next(3))})
+		tr.Append(trace.Event{
+			Kind: trace.KAccess, TID: tid, Write: next(2) == 0,
+			Addr: memmodel.Addr(next(16) * 8 * (1 + next(8)*512)), Site: shadow.SiteID(1 + next(32)),
+		})
+	}
+	return tr
+}
+
 // TestShardedMatchesReferenceRandomized is the randomized differential
 // suite: synthetic race-dense traces, several seeds, shards=1/4/8 ×
 // jobs=1/4, all compared byte-for-byte against the sequential reference.
