@@ -1,7 +1,7 @@
 package core_test
 
 import (
-	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -13,7 +13,9 @@ import (
 
 // TestAtomicCounterNoFalsePositive: a lock-free counter implemented with
 // atomic RMWs is race-free end to end under every detector; the same
-// counter bumped with plain stores is a race.
+// counter bumped with plain stores is a race. So is message passing through
+// an atomic: thread 0 writes y, then bumps x; thread 1 bumps x, then reads
+// y. The two RMWs of x order the accesses of y.
 func TestAtomicCounterNoFalsePositive(t *testing.T) {
 	build := func(atomic bool) *sim.Program {
 		al := memmodel.NewAllocator(1 << 20)
@@ -29,6 +31,27 @@ func TestAtomicCounterNoFalsePositive(t *testing.T) {
 			return append(body, padWork(al, 30, pad)...)
 		}
 		return &sim.Program{Name: "counter", Workers: [][]sim.Instr{mk(1000, 2000), mk(1001, 5000)}}
+	}
+	messagePassing := func() *sim.Program {
+		al := memmodel.NewAllocator(1 << 20)
+		x, y := al.AllocLine(), al.AllocLine()
+		sender := []sim.Instr{
+			&sim.MemAccess{Write: true, Addr: sim.Fixed(y), Site: 10},
+			&sim.AtomicRMW{Addr: sim.Fixed(x), Site: 11},
+		}
+		receiver := append(padWork(al, 30, 5000),
+			&sim.AtomicRMW{Addr: sim.Fixed(x), Site: 20},
+			&sim.MemAccess{Addr: sim.Fixed(y), Site: 21})
+		return &sim.Program{Name: "msgpass", Workers: [][]sim.Instr{sender, receiver}}
+	}
+	programs := []struct {
+		name  string
+		build func() *sim.Program
+		want  []detect.PairKey
+	}{
+		{"atomic counter", func() *sim.Program { return build(true) }, nil},
+		{"plain-store counter", func() *sim.Program { return build(false) }, []detect.PairKey{{A: 1000, B: 1001}}},
+		{"atomic message passing", messagePassing, nil},
 	}
 
 	// Each entry runs a program under one detector and returns the detector.
@@ -51,20 +74,20 @@ func TestAtomicCounterNoFalsePositive(t *testing.T) {
 			_, err := sim.NewEngine(quietConfig()).Run(instrument.ForTSan(p), rt)
 			return rt.Detector(), err
 		}},
+		{"bounded(N=4)", func(p *sim.Program) (*detect.Detector, error) {
+			rt := core.NewTSanWith(detect.Config{Cells: 4, CellSeed: 1})
+			_, err := sim.NewEngine(quietConfig()).Run(instrument.ForTSan(p), rt)
+			return rt.Detector(), err
+		}},
 	} {
-		det, err := d.run(build(true))
-		if err != nil {
-			t.Fatalf("%s: %v", d.name, err)
-		}
-		if det.RaceCount() != 0 {
-			t.Errorf("%s: atomic counter flagged: %v", d.name, det.Races())
-		}
-		det, err = d.run(build(false))
-		if err != nil {
-			t.Fatalf("%s: %v", d.name, err)
-		}
-		if keys := det.RaceKeys(); !reflect.DeepEqual(keys, []detect.PairKey{{A: 1000, B: 1001}}) {
-			t.Errorf("%s: plain-store counter races %v, want the 1000/1001 race", d.name, keys)
+		for _, p := range programs {
+			det, err := d.run(p.build())
+			if err != nil {
+				t.Fatalf("%s, %s: %v", d.name, p.name, err)
+			}
+			if keys := det.RaceKeys(); !slices.Equal(keys, p.want) {
+				t.Errorf("%s, %s: %d races %v, want %v", d.name, p.name, len(keys), det.Races(), p.want)
+			}
 		}
 	}
 }

@@ -40,9 +40,10 @@ type TSan struct {
 // NewTSan returns a TSan runtime in the default sparse-clock configuration.
 func NewTSan() *TSan { return NewTSanWith(detect.Config{}) }
 
-// NewTSanWith returns a TSan runtime over a specific detector clock
-// configuration (detect.Config.RefDense selects the retained dense
-// reference path for differential runs).
+// NewTSanWith returns a TSan runtime over a specific detector configuration:
+// detect.Config.RefDense selects the retained dense reference path for
+// differential runs, and detect.Config.Cells stock TSan's bounded shadow
+// cells (§5), which the shadow experiment measures.
 func NewTSanWith(cfg detect.Config) *TSan {
 	return &TSan{det: detect.NewWith(cfg), SlowScale: 1}
 }
@@ -125,10 +126,12 @@ func (r *TSan) Access(t *sim.Thread, m *sim.MemAccess, addr memmodel.Addr) {
 }
 
 // Finish folds the detector's shadow allocation and clock-representation
-// counters into the metrics.
+// counters into the metrics. The exact shadow's counters read zero under
+// bounded cells, and the cell store's without them.
 func (r *TSan) Finish(e *sim.Engine) {
 	s := r.det.ShadowStats()
 	e.Config().Obs.ShadowMemStats(s.Pages, s.PoolHits, s.PoolMisses)
+	e.Config().Obs.ShadowCellStats(r.det.CellStats().Pages)
 	cs := r.det.ClockStats()
 	e.Config().Obs.ClockSparseStats(cs.Promotions, cs.Collapses, cs.Fallbacks)
 }

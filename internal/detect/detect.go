@@ -60,9 +60,10 @@ func (k PairKey) Compare(o PairKey) int {
 	return cmp.Compare(k.B, o.B)
 }
 
-// Config selects the detector's vector-clock representation (DESIGN.md §11).
-// The zero value is the production configuration: sparse/delta clocks with
-// periodic epoch-collapsing.
+// Config selects the detector's vector-clock representation (DESIGN.md §11)
+// and its shadow state. The zero value is the production configuration:
+// sparse/delta clocks with periodic epoch-collapsing, over exact shadow
+// state.
 type Config struct {
 	// RefDense forces the retained dense representation everywhere: thread
 	// clocks, sync tables, read vectors, vcVars. It is the reference path
@@ -72,6 +73,12 @@ type Config struct {
 	// epoch-collapse rounds. 0 means DefaultCollapseEvery; negative
 	// disables collapsing (sparse clocks then never change base).
 	CollapseEvery int
+	// Cells, when positive, bounds the shadow state to Cells access
+	// records per granule with random replacement drawn from CellSeed:
+	// stock TSan's memory-bounded configuration (§5), which can miss
+	// races. 0 keeps exact FastTrack state, the paper's configuration.
+	Cells    int
+	CellSeed int64
 }
 
 // DefaultCollapseEvery is the release cadence of epoch-collapse rounds.
@@ -83,12 +90,16 @@ const collapseMinThreads = 16
 
 // Detector is the FastTrack happens-before detector: the clock half
 // (Clocks) advanced by sync events, and the access half (Checker) that
-// checks each access against the accessing thread's clock.
+// checks each access against the accessing thread's clock. With
+// Config.Cells, accesses are checked against bounded cells instead
+// (cellAccess); the clock half is the same.
 type Detector struct {
 	access
 	clk Clocks
 
 	cfg           Config
+	cells         *shadow.CellStore // bounded shadow (Config.Cells); nil for exact state
+	evictions     uint64
 	base          *clock.Base // current epoch-collapse base (nil before first round)
 	collapseEvery int
 	sinceCollapse int
@@ -110,6 +121,9 @@ func NewWith(cfg Config) *Detector {
 		st = d.clk.stats
 	}
 	d.access = newChecker(st)
+	if cfg.Cells > 0 {
+		d.cells = shadow.NewCellStore(cfg.Cells, cfg.CellSeed)
+	}
 	d.collapseEvery = cfg.CollapseEvery
 	if d.collapseEvery == 0 {
 		d.collapseEvery = DefaultCollapseEvery
@@ -193,12 +207,21 @@ func (d *Detector) Collapse() {
 // Read analyzes a read of addr by tid at static site.
 func (d *Detector) Read(tid clock.TID, addr memmodel.Addr, site shadow.SiteID) {
 	c := d.thread(tid)
+	if d.cells != nil {
+		d.cellAccess(c, tid, addr, false, site)
+		return
+	}
 	d.access.Read(c, tid, addr, site, len(d.clk.threads))
 }
 
 // Write analyzes a write of addr by tid at static site.
 func (d *Detector) Write(tid clock.TID, addr memmodel.Addr, site shadow.SiteID) {
-	d.access.Write(d.thread(tid), tid, addr, site)
+	c := d.thread(tid)
+	if d.cells != nil {
+		d.cellAccess(c, tid, addr, true, site)
+		return
+	}
+	d.access.Write(c, tid, addr, site)
 }
 
 // Access dispatches to Read or Write.

@@ -235,8 +235,8 @@ func TestBarrierMeshOrders(t *testing.T) {
 	}
 }
 
-func TestCellDetectorFindsRace(t *testing.T) {
-	d := NewCellDetector(4, 1)
+func TestBoundedCellsFindRace(t *testing.T) {
+	d := NewWith(Config{Cells: 4, CellSeed: 1})
 	d.Access(0, x, true, 10)
 	d.Access(1, x, true, 20)
 	if d.RaceCount() != 1 {
@@ -247,8 +247,8 @@ func TestCellDetectorFindsRace(t *testing.T) {
 	}
 }
 
-func TestCellDetectorRespectsHappensBefore(t *testing.T) {
-	d := NewCellDetector(4, 1)
+func TestBoundedCellsRespectHappensBefore(t *testing.T) {
+	d := NewWith(Config{Cells: 4, CellSeed: 1})
 	d.Access(0, x, true, 10)
 	d.Release(0, mu)
 	d.Acquire(1, mu)
@@ -268,11 +268,11 @@ func TestShadowEvictionUnsoundness(t *testing.T) {
 	target := PairKey{10, 20}
 	missed := false
 	for seed := int64(0); seed < 20 && !missed; seed++ {
-		d := NewCellDetector(2, seed) // tiny shadow: 2 cells per word
-		d.Access(0, x, true, 10)      // the racy write
+		d := NewWith(Config{Cells: 2, CellSeed: seed}) // tiny shadow: 2 cells per word
+		d.Access(0, x, true, 10)                       // the racy write
 		// Flood the granule with ordered accesses from other threads.
 		for tid := clock.TID(1); tid <= 6; tid++ {
-			d.hb.Fork(0, tid) // ordered after the write: no races with it
+			d.Fork(0, tid) // ordered after the write: no races with it
 			d.Access(tid, x, false, 100+shadowSite(tid))
 		}
 		d.Access(7, x, true, 20) // concurrent with the write of site 10

@@ -198,14 +198,14 @@ func TestDetectorMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCellDetectorMatchesUnpagedStore checks the bounded detector end to end:
-// a CellDetector and a by-hand replica over MapCellStore (same seed) must
-// agree on every race for identical traces.
-func TestCellDetectorMatchesUnpagedStore(t *testing.T) {
+// TestBoundedCellsMatchUnpagedStore checks the bounded detector end to end:
+// a detector with Config.Cells and a by-hand replica over MapCellStore (same
+// seed) must agree on every race for identical traces.
+func TestBoundedCellsMatchUnpagedStore(t *testing.T) {
 	const threads = 4
 	for seed := uint64(1); seed <= 4; seed++ {
 		rng := prng.New(seed * 0x5eed)
-		cur := NewCellDetector(4, int64(seed))
+		cur := NewWith(Config{Cells: 4, CellSeed: int64(seed)})
 		hb := New()
 		store := shadow.NewMapCellStore(4, int64(seed))
 		refRaces := map[PairKey]struct{}{}

@@ -1,7 +1,9 @@
 package experiment
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -55,6 +57,25 @@ func TestShadowBoundedUnsoundOnStress(t *testing.T) {
 	sh.Write(&sb)
 	if !strings.Contains(sb.String(), "shadowstress") {
 		t.Error("shadow rendering incomplete")
+	}
+}
+
+// shadowTextPin is the sha256 of the shadow-cell table at DefaultConfig over
+// every application, the stdout of "txbench -exp shadow", captured when
+// bounded cells were still a runtime of their own.
+const shadowTextPin = "fddbfa0167851851dfd0cce18b2554825b90fc8eed161da78bbf5bf05ef7ef5a"
+
+// TestShadowMatchesPin pins the bounded-shadow configurations: folding them
+// into TSan (detect.Config.Cells) must not move a race count or recall.
+func TestShadowMatchesPin(t *testing.T) {
+	sh, err := RunShadow(DefaultConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	sh.Write(&sb)
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(sb.String()))); got != shadowTextPin {
+		t.Errorf("shadow table sha256 %s, pinned %s:\n%s", got, shadowTextPin, sb.String())
 	}
 }
 

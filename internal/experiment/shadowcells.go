@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro/internal/core"
-	"repro/internal/instrument"
 	"repro/internal/report"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -103,17 +102,17 @@ func boundedJob(p *runner.Plan, w *workload.Workload, cfg Config, n int, full *T
 		Do: func(j *runner.Job) (any, error) {
 			c := cfg
 			c.Obs = j.Obs
-			built := w.Build(c.Threads, c.Scale)
-			rt := core.NewTSanBounded(n, int64(c.Seed)+int64(n))
-			rt.SlowScale = w.SlowScale
-			if _, err := sim.NewEngine(c.engineConfig(w, c.Seed)).Run(
-				instrument.ForTSan(built.Prog), rt); err != nil {
-				return nil, fmt.Errorf("%s bounded(N=%d): %w", w.Name, n, err)
+			dc := c.detectConfig()
+			dc.Cells, dc.CellSeed = n, int64(c.Seed)+int64(n)
+			rt := core.NewTSanWith(dc)
+			run, err := runTSan(w, c, c.Seed, rt, fmt.Sprintf("bounded(N=%d)", n))
+			if err != nil {
+				return nil, err
 			}
 			return &boundedResult{
-				races:     rt.Detector().RaceCount(),
-				recall:    stats.Recall(rt.Detector().RaceKeys(), full.Races),
-				evictions: rt.Detector().Evictions,
+				races:     len(run.Races),
+				recall:    stats.Recall(run.Races, full.Races),
+				evictions: rt.Detector().Evictions(),
 			}, nil
 		},
 	})

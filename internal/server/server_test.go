@@ -78,6 +78,53 @@ func TestSessionPipelineMatchesReference(t *testing.T) {
 	}
 }
 
+// TestRecycleWaitsForHeldAccess forces the tightest recycling case, which
+// the timing of the differential suite above rarely reaches. Block 0 holds
+// one access, thread 1's write of x at index blockEvents-2, and ends with
+// thread 1's release of lock 1, which retires the clock the write's snapshot
+// holds. Its worker is held on the write until the router has routed, in
+// block 1, thread 1's next access and release (the mutation that reuses a
+// recycled clock), thread 2's acquire of lock 1 and write of x (ordered
+// after thread 1's), and an access on the other shard that opens the gate.
+// Reusing the retired clock before the held write is checked gives that
+// write thread 1's later clock, and the ordered write of x races with it.
+func TestRecycleWaitsForHeldAccess(t *testing.T) {
+	const (
+		x      = 0x100000 // shard 0 of 2
+		y      = x + 8    // shard 0
+		marker = 0x101000 // shard 1
+	)
+	tr := &trace.Trace{Name: "held-access"}
+	for tr.Len() < blockEvents-2 { // sync only: no other access holds the watermark
+		tr.Append(trace.Event{Kind: trace.KAcquire, TID: 0, Sync: 9})
+		tr.Append(trace.Event{Kind: trace.KRelease, TID: 0, Sync: 9})
+	}
+	for _, e := range []trace.Event{
+		{Kind: trace.KAccess, TID: 1, Addr: x, Site: 1, Write: true},
+		{Kind: trace.KRelease, TID: 1, Sync: 1}, // ends block 0
+		{Kind: trace.KAccess, TID: 1, Addr: y, Site: 2, Write: true},
+		{Kind: trace.KRelease, TID: 1, Sync: 2},
+		{Kind: trace.KAcquire, TID: 2, Sync: 1},
+		{Kind: trace.KAccess, TID: 2, Addr: x, Site: 3, Write: true},
+		{Kind: trace.KAccess, TID: 2, Addr: marker, Site: 4, Write: true},
+	} {
+		tr.Append(e)
+	}
+
+	// Worker 1's only batch is the marker; worker 0's first is the held write.
+	routed := make(chan struct{})
+	sess := NewSession(SessionConfig{Shards: 2, Workers: 2, BatchSize: 1,
+		workerGate: func(w int) {
+			if w == 1 {
+				close(routed)
+			} else {
+				<-routed
+			}
+		}})
+	tr.ForEach(sess.Feed)
+	requireIdentical(t, tr.Name, trace.Replay(tr), sess.Finish(tr.Name))
+}
+
 // streamTrace connects to addr, streams tr, and decodes the response.
 func streamTrace(t *testing.T, addr string, tr *trace.Trace) *Response {
 	t.Helper()
