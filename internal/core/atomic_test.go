@@ -64,6 +64,11 @@ func TestAtomicCounterNoFalsePositive(t *testing.T) {
 			_, err := sim.NewEngine(quietConfig()).Run(instrument.ForTxRace(p, instrument.DefaultOptions()), rt)
 			return rt.Detector(), err
 		}},
+		{"txrace bounded(N=4)", func(p *sim.Program) (*detect.Detector, error) {
+			rt := core.NewTxRace(core.Options{Detect: detect.Config{Cells: 4, CellSeed: 1}})
+			_, err := sim.NewEngine(quietConfig()).Run(instrument.ForTxRace(p, instrument.DefaultOptions()), rt)
+			return rt.Detector(), err
+		}},
 		{"tsan", func(p *sim.Program) (*detect.Detector, error) {
 			rt := core.NewTSan()
 			_, err := sim.NewEngine(quietConfig()).Run(instrument.ForTSan(p), rt)

@@ -47,6 +47,6 @@ func (r *Lockset) Access(t *sim.Thread, m *sim.MemAccess, addr memmodel.Addr) {
 	if !m.Hooked {
 		return
 	}
-	r.eng.ChargeAs(t, int64(float64(r.eng.Config().Cost.SlowAccessHook)*r.SlowScale), obs.PhaseSlow)
+	r.eng.ChargeAs(t, accessHookCost(r.eng, r.SlowScale), obs.PhaseSlow)
 	r.det.Access(clock.TID(t.ID), addr, m.Write, m.Site)
 }

@@ -273,23 +273,31 @@ func TestFalseSharingFiltered(t *testing.T) {
 }
 
 // TestWordGranularityAblation: with the idealized word-granular HTM the same
-// program produces no conflicts at all.
+// program produces no conflicts at all. The HTM config may spell out the
+// default geometry or leave it zero; either way the granularity holds.
 func TestWordGranularityAblation(t *testing.T) {
-	al := memmodel.NewAllocator(1 << 20)
-	line := al.AllocLine()
-	mk := func(off memmodel.Addr, site sim.SiteID, pad sim.SiteID) []sim.Instr {
-		body := []sim.Instr{&sim.MemAccess{Write: true, Addr: sim.Fixed(line + off), Site: site}}
-		return append(body, padWork(al, 30, pad)...)
-	}
-	p := &sim.Program{Name: "wordgran", Workers: [][]sim.Instr{
-		mk(0, 1000, 2000), mk(8, 1001, 3000),
-	}}
-	opts := core.Options{}
-	opts.HTM = htm.DefaultConfig()
-	opts.HTM.GranularityShift = 3 // word granularity
-	rt, _ := runTxRace(t, p, opts, quietConfig())
-	if rt.Stats().ConflictAborts != 0 {
-		t.Fatalf("word-granular HTM still conflicts on false sharing: %+v", rt.Stats())
+	full := htm.DefaultConfig()
+	full.GranularityShift = 3 // word granularity
+	for _, tc := range []struct {
+		name string
+		cfg  htm.Config
+	}{
+		{"default geometry", full},
+		{"zero geometry", htm.Config{GranularityShift: 3}},
+	} {
+		al := memmodel.NewAllocator(1 << 20)
+		line := al.AllocLine()
+		mk := func(off memmodel.Addr, site sim.SiteID, pad sim.SiteID) []sim.Instr {
+			body := []sim.Instr{&sim.MemAccess{Write: true, Addr: sim.Fixed(line + off), Site: site}}
+			return append(body, padWork(al, 30, pad)...)
+		}
+		p := &sim.Program{Name: "wordgran", Workers: [][]sim.Instr{
+			mk(0, 1000, 2000), mk(8, 1001, 3000),
+		}}
+		rt, _ := runTxRace(t, p, core.Options{HTM: tc.cfg}, quietConfig())
+		if rt.Stats().ConflictAborts != 0 {
+			t.Fatalf("%s: word-granular HTM still conflicts on false sharing: %+v", tc.name, rt.Stats())
+		}
 	}
 }
 

@@ -121,8 +121,18 @@ func (r *TSan) Access(t *sim.Thread, m *sim.MemAccess, addr memmodel.Addr) {
 		r.eng.ChargeAs(t, r.eng.Config().Cost.SampleGate, obs.PhaseSample)
 		return
 	}
-	r.eng.ChargeAs(t, int64(float64(r.eng.Config().Cost.SlowAccessHook)*r.SlowScale), obs.PhaseSlow)
+	r.eng.ChargeAs(t, r.hookCost(), obs.PhaseSlow)
 	r.det.Access(clock.TID(t.ID), addr, m.Write, m.Site)
+}
+
+// hookCost is the cycles one analyzed access pays on this runtime.
+func (r *TSan) hookCost() int64 { return accessHookCost(r.eng, r.SlowScale) }
+
+// accessHookCost is the per-access detector hook cost every software
+// runtime pays: the engine's SlowAccessHook scaled by the runtime's
+// SlowScale.
+func accessHookCost(e *sim.Engine, scale float64) int64 {
+	return int64(float64(e.Config().Cost.SlowAccessHook) * scale)
 }
 
 // Finish folds the detector's shadow allocation and clock-representation

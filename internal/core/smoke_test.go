@@ -4,8 +4,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/detect"
 	"repro/internal/instrument"
 	"repro/internal/memmodel"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -118,5 +120,35 @@ func TestSmokeBaselineIsCheapest(t *testing.T) {
 	if !(base.Makespan < txr.Makespan) || !(base.Makespan < tsan.Makespan) {
 		t.Fatalf("baseline %d should be under txrace %d and tsan %d",
 			base.Makespan, txr.Makespan, tsan.Makespan)
+	}
+}
+
+// TestFinishFoldsShadowCellStats: under bounded shadow cells, TxRace's slow
+// path and TSan both fold the detector's cell pages into the metrics at
+// Finish.
+func TestFinishFoldsShadowCellStats(t *testing.T) {
+	cells := detect.Config{Cells: 4, CellSeed: 1}
+	for _, tc := range []struct {
+		name string
+		rt   interface {
+			sim.Runtime
+			Detector() *detect.Detector
+		}
+		prog *sim.Program
+	}{
+		{"txrace", core.NewTxRace(core.Options{Detect: cells}),
+			instrument.ForTxRace(buildRacyProgram(), instrument.DefaultOptions())},
+		{"tsan", core.NewTSanWith(cells), instrument.ForTSan(buildRacyProgram())},
+	} {
+		m := obs.NewMetrics()
+		cfg := quietConfig()
+		cfg.Obs = obs.New(nil, m)
+		if _, err := sim.NewEngine(cfg).Run(tc.prog, tc.rt); err != nil {
+			t.Fatalf("%s: run: %v", tc.name, err)
+		}
+		want := tc.rt.Detector().CellStats().Pages
+		if got := m.Snapshot().Counters["shadow.cellpages"]; want == 0 || got != want {
+			t.Errorf("%s: shadow.cellpages = %d, want the detector's %d (> 0)", tc.name, got, want)
+		}
 	}
 }

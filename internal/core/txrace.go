@@ -17,8 +17,8 @@ const RetryBudgetNone = -1
 
 // Options configures the TxRace runtime.
 type Options struct {
-	// HTM is the transactional hardware model; zero value means
-	// htm.DefaultConfig.
+	// HTM is the transactional hardware model; htm.New fills each zero
+	// field with its htm.DefaultConfig value.
 	HTM htm.Config
 	// LoopCut selects the capacity-abort optimization (Fig. 9).
 	LoopCut CutMode
@@ -59,9 +59,9 @@ type Options struct {
 	// Governor configures the adaptive fallback governor (governor.go); the
 	// zero value disables it.
 	Governor GovernorConfig
-	// Detect selects the slow-path detector's vector-clock representation;
-	// the zero value is the default sparse/delta configuration, RefDense
-	// the retained dense reference for differential runs.
+	// Detect configures the slow path's detector as for NewTSanWith: the
+	// zero value is the default sparse/delta configuration, RefDense the
+	// retained dense reference for differential runs, Cells bounded shadow.
 	Detect detect.Config
 	// Obs, when non-nil, receives structured lifecycle events and metrics
 	// updates (internal/obs): transaction begin/commit/abort with the RTM
@@ -72,15 +72,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.HTM.MaxConcurrent == 0 {
-		// Preserve backend selection and its knobs when substituting the
-		// default machine geometry for an otherwise-zero HTM config.
-		be, ebits := o.HTM.Backend, o.HTM.TagEpochBits
-		rcap, wcap := o.HTM.BoundedReadCap, o.HTM.BoundedWriteCap
-		o.HTM = htm.DefaultConfig()
-		o.HTM.Backend, o.HTM.TagEpochBits = be, ebits
-		o.HTM.BoundedReadCap, o.HTM.BoundedWriteCap = rcap, wcap
-	}
 	switch {
 	case o.RetryBudget == 0:
 		o.RetryBudget = 3
@@ -145,12 +136,14 @@ type threadCtx struct {
 // TxRace is the two-phase runtime. Create with NewTxRace and pass to
 // sim.Engine.Run with a program instrumented by instrument.ForTxRace.
 type TxRace struct {
-	sim.NopRuntime
+	// TSan is the slow path (§5): its detector takes every slow-path
+	// access, it tracks thread lifetimes (Fork, Joined, JoinedAll), and its
+	// Finish folds the detector's stats. TxRace keeps its own sync, atomic
+	// and access hooks, which gate on the thread's mode.
+	*TSan
 
 	opts Options
-	eng  *sim.Engine
 	hw   *htm.HTM
-	det  *detect.Detector
 
 	txFail    memmodel.Addr
 	txFailGen uint64
@@ -197,10 +190,12 @@ type TxRace struct {
 // NewTxRace returns a runtime with the given options.
 func NewTxRace(opts Options) *TxRace {
 	opts = opts.withDefaults()
+	slow := NewTSanWith(opts.Detect)
+	slow.SlowScale = opts.SlowScale
 	r := &TxRace{
+		TSan:       slow,
 		opts:       opts,
 		hw:         htm.New(opts.HTM),
-		det:        detect.NewWith(opts.Detect),
 		txFail:     txFailBase,
 		thresholds: opts.Thresholds,
 		obs:        opts.Obs,
@@ -209,9 +204,6 @@ func NewTxRace(opts Options) *TxRace {
 	r.stats.SlowRegions = make(map[Cause]uint64)
 	return r
 }
-
-// Detector exposes the slow-path detector (race reports, recall inputs).
-func (r *TxRace) Detector() *detect.Detector { return r.det }
 
 // Stats returns the runtime statistics collected so far.
 func (r *TxRace) Stats() Stats { return r.stats }
@@ -227,7 +219,7 @@ func (r *TxRace) Thresholds() LoopThresholds { return r.thresholds }
 // Init implements sim.Runtime. It sizes the per-loop and per-thread state
 // from the program once, so the hooks never grow a table.
 func (r *TxRace) Init(e *sim.Engine) {
-	r.eng = e
+	r.TSan.Init(e)
 	p := e.Program()
 	r.initLoops(p)
 	if r.opts.LoopCut == ProfCut {
@@ -300,31 +292,11 @@ func (r *TxRace) loopSlot(id sim.LoopID) (int, bool) {
 // worker threads are live (§4.3, optimization 1).
 func (r *TxRace) multithreaded() bool { return r.eng.LiveWorkers() >= 2 }
 
-func (r *TxRace) slowHookCost() int64 {
-	return int64(float64(r.eng.Config().Cost.SlowAccessHook) * r.opts.SlowScale)
-}
-
 // chargeFast charges c cycles to t and attributes them to pure fast-path
 // overhead (the black "xbegin/xend" bar of Fig. 7).
 func (r *TxRace) chargeFast(t *sim.Thread, c int64) {
 	r.eng.ChargeAs(t, c, obs.PhaseFast)
 	r.stats.CyclesFastPath += c
-}
-
-// Fork, Joined: thread-lifetime happens-before edges are always tracked.
-func (r *TxRace) Fork(parent, child *sim.Thread) {
-	r.det.Fork(clock.TID(parent.ID), clock.TID(child.ID))
-}
-
-// Joined implements sim.Runtime.
-func (r *TxRace) Joined(parent, child *sim.Thread) {
-	r.det.Join(clock.TID(parent.ID), clock.TID(child.ID))
-}
-
-// JoinedAll implements sim.BatchJoiner: one tree-structured N-way clock
-// merge at the engine's join-all point.
-func (r *TxRace) JoinedAll(parent *sim.Thread, children []*sim.Thread) {
-	r.det.JoinAllChildren(clock.TID(parent.ID), childTIDs(children))
 }
 
 // SyncAcquire tracks the happens-before edge on both paths (§5, Fig. 6).
@@ -365,31 +337,26 @@ func (r *TxRace) TxBeginMark(t *sim.Thread, m *sim.TxBegin) {
 	if m.Small {
 		// §4.3: regions with fewer than K memory operations skip the HTM;
 		// the software detector covers them.
-		c.mode = ModeSlow
-		c.slowCause = CauseSmall
-		c.slowStart = t.Clock
-		t.Phase = obs.PhaseSlow
-		r.stats.SlowRegions[CauseSmall]++
-		if o := r.obs; o != nil {
-			o.SlowEnter(t.ID, t.Clock, CauseSmall.String())
-		}
+		r.enterSlow(t, c, CauseSmall, obs.PhaseSlow)
 		return
 	}
 	if r.governorForces(t, c) {
 		// Degraded thread (or run-wide degradation window): no transaction
 		// is attempted; the software detector covers the whole region.
-		c.mode = ModeSlow
-		c.slowCause = CauseGovernor
-		c.slowStart = t.Clock
-		t.Phase = obs.PhaseGovernor
-		r.stats.SlowRegions[CauseGovernor]++
 		r.stats.ForcedSlow++
 		if o := r.obs; o != nil {
 			o.GovernorForced(t.ID, t.Clock)
-			o.SlowEnter(t.ID, t.Clock, CauseGovernor.String())
 		}
+		r.enterSlow(t, c, CauseGovernor, obs.PhaseGovernor)
 		return
 	}
+	r.beginTxn(t, c)
+}
+
+// beginTxn opens a hardware transaction whose rollback point is t's
+// current instruction. With no free hardware context the region runs on
+// the slow path instead (§6 reason 4).
+func (r *TxRace) beginTxn(t *sim.Thread, c *threadCtx) {
 	st, err := r.hw.Begin(t.ID)
 	if st != 0 {
 		// A nested begin means runtime mode tracking went wrong; fail loudly
@@ -397,20 +364,11 @@ func (r *TxRace) TxBeginMark(t *sim.Thread, m *sim.TxBegin) {
 		panic("txrace: nested transaction begin")
 	}
 	if err != nil {
-		// No free hardware context (§6 reason 4): software detection.
-		c.mode = ModeSlow
-		c.slowCause = CauseNoHW
-		c.slowStart = t.Clock
-		t.Phase = obs.PhaseSlow
-		r.stats.SlowRegions[CauseNoHW]++
-		if o := r.obs; o != nil {
-			o.SlowEnter(t.ID, t.Clock, CauseNoHW.String())
-		}
+		r.enterSlow(t, c, CauseNoHW, obs.PhaseSlow)
 		return
 	}
 	t.Phase = obs.PhaseFast
-	cost := r.eng.Config().Cost
-	r.chargeFast(t, cost.XBegin)
+	r.chargeFast(t, r.eng.Config().Cost.XBegin)
 	if o := r.obs; o != nil {
 		o.TxBegin(t.ID, t.Clock)
 	}
@@ -425,6 +383,19 @@ func (r *TxRace) TxBeginMark(t *sim.Thread, m *sim.TxBegin) {
 	// Instrumented prologue: read the TxFail flag transactionally so a
 	// later non-transactional write to it aborts this transaction (§4.1).
 	r.hw.Access(t.ID, r.txFail, false)
+}
+
+// enterSlow starts a slow region of the given cause at t's current
+// instruction, billing t's cycles to phase from here on.
+func (r *TxRace) enterSlow(t *sim.Thread, c *threadCtx, cause Cause, phase obs.Phase) {
+	c.mode = ModeSlow
+	c.slowCause = cause
+	c.slowStart = t.Clock
+	t.Phase = phase
+	r.stats.SlowRegions[cause]++
+	if o := r.obs; o != nil {
+		o.SlowEnter(t.ID, t.Clock, cause.String())
+	}
 }
 
 func (c *threadCtx) clearLoopIters() {
@@ -471,7 +442,7 @@ func (r *TxRace) Access(t *sim.Thread, m *sim.MemAccess, addr memmodel.Addr) {
 			return
 		}
 		if m.Hooked {
-			hc := r.slowHookCost()
+			hc := r.hookCost()
 			r.eng.Charge(t, hc)
 			r.attributeSlow(c, hc)
 			r.det.Access(clock.TID(t.ID), addr, m.Write, m.Site)
@@ -764,9 +735,8 @@ func (r *TxRace) LoopCheckMark(t *sim.Thread, m *sim.LoopCheck) {
 	}
 	// Cut: end the transaction here and start a new one, moving the
 	// rollback point to this loop iteration.
-	cost := r.eng.Config().Cost
 	st, ok := r.hw.Commit(t.ID)
-	r.chargeFast(t, cost.XEnd)
+	r.chargeFast(t, r.eng.Config().Cost.XEnd)
 	if !ok {
 		r.handleAbort(t, c, st)
 		return
@@ -783,29 +753,7 @@ func (r *TxRace) LoopCheckMark(t *sim.Thread, m *sim.LoopCheck) {
 	if th := r.thresholds[m.ID]; th < 1<<20 {
 		r.thresholds[m.ID] = th + max(1, th/32)
 	}
-	if _, err := r.hw.Begin(t.ID); err != nil {
-		c.mode = ModeSlow
-		c.slowCause = CauseNoHW
-		c.slowStart = t.Clock
-		t.Phase = obs.PhaseSlow
-		r.stats.SlowRegions[CauseNoHW]++
-		if o := r.obs; o != nil {
-			o.SlowEnter(t.ID, t.Clock, CauseNoHW.String())
-		}
-		return
-	}
-	r.chargeFast(t, cost.XBegin)
-	if o := r.obs; o != nil {
-		o.TxBegin(t.ID, t.Clock)
-	}
-	r.eng.Checkpoint(t, &c.snap)
-	c.genAtBegin = r.txFailGen
-	c.clockAtBegin = t.Clock
-	c.clearLoopIters()
-	c.hasLastLoop = false
-	c.attribSyscall = false
-	c.attribFault = false
-	r.hw.Access(t.ID, r.txFail, false)
+	r.beginTxn(t, c)
 }
 
 // TxEndMark closes the current region: commit on the fast path, switch back
@@ -886,14 +834,11 @@ func (r *TxRace) ThreadExit(t *sim.Thread) {
 // (zero when no fault plan is attached).
 func (r *TxRace) FaultStats() fault.Stats { return r.opts.Fault.Stats() }
 
-// Finish folds the slow-path detector's shadow allocation counters, the
-// HTM conflict directory's counters, and the fault injector's per-kind
-// counts into the metrics registry.
+// Finish folds the slow-path detector's stats (TSan.Finish), the HTM
+// conflict directory's counters, and the fault injector's per-kind counts
+// into the metrics registry.
 func (r *TxRace) Finish(e *sim.Engine) {
-	s := r.det.ShadowStats()
-	e.Config().Obs.ShadowMemStats(s.Pages, s.PoolHits, s.PoolMisses)
-	cs := r.det.ClockStats()
-	e.Config().Obs.ClockSparseStats(cs.Promotions, cs.Collapses, cs.Fallbacks)
+	r.TSan.Finish(e)
 	d := r.hw.BackendStats()
 	e.Config().Obs.HTMDirStats(d.Lines, d.Checks, d.Fastpath)
 	e.Config().Obs.HTMBackendStats(r.hw.Backend(), d.TagRecycled, d.TagFalse, d.Overflows)

@@ -101,9 +101,9 @@ func (c Config) withDefaults() Config {
 }
 
 // htmConfig translates Config.Backend into the htm.Config the runtime
-// options carry. "" and "dir" return the zero config — core substitutes
-// htm.DefaultConfig(), exactly the pre-seam behavior — so default-backend
-// runs stay bit-identical to configs that predate backend selection.
+// options carry. Every other field is zero, which htm.New fills from
+// htm.DefaultConfig(), so default-backend runs stay bit-identical to
+// configs that predate backend selection.
 func (c Config) htmConfig() htm.Config {
 	return htm.Config{Backend: c.backendKey()}
 }

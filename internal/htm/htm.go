@@ -34,6 +34,7 @@
 package htm
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 
@@ -99,13 +100,15 @@ func (s Status) String() string {
 // Config fixes the simulated machine's transactional resources.
 type Config struct {
 	// Write-set tracking: the L1 data cache. Haswell: 32 KiB, 8-way,
-	// 64 sets — a transaction's store footprint must fit here.
+	// 64 sets — a transaction's store footprint must fit here. Zero means
+	// DefaultConfig's value, as for the other geometry fields.
 	WriteSets, WriteWays int
 	// Read-set tracking is larger on real TSX (L2-assisted); modelled as a
-	// bigger set-associative structure.
+	// bigger set-associative structure. Zero means DefaultConfig's value.
 	ReadSets, ReadWays int
 	// MaxConcurrent caps simultaneously open transactions, the
-	// hardware-thread limit of §6 (4 cores, 8 with hyper-threading).
+	// hardware-thread limit of §6 (4 cores, 8 with hyper-threading). Zero
+	// means DefaultConfig's value.
 	MaxConcurrent int
 	// GranularityShift sets the conflict-detection granularity as a power
 	// of two (log2 bytes). Zero means the cache-line default
@@ -257,10 +260,17 @@ type Diagnostics struct {
 	LastConflictLoser  int
 }
 
-// New returns an HTM with the given configuration. It panics on a
-// configuration no machine could have: a non-positive or >64 context count,
-// an unknown Backend name, or RefScan combined with a non-directory backend.
+// New returns an HTM with the given configuration, each zero geometry field
+// (sets, ways, MaxConcurrent) taking its DefaultConfig value. It panics on a
+// configuration no machine could have: a negative or >64 context count, an
+// unknown Backend name, or RefScan combined with a non-directory backend.
 func New(cfg Config) *HTM {
+	def := DefaultConfig()
+	cfg.WriteSets = cmp.Or(cfg.WriteSets, def.WriteSets)
+	cfg.WriteWays = cmp.Or(cfg.WriteWays, def.WriteWays)
+	cfg.ReadSets = cmp.Or(cfg.ReadSets, def.ReadSets)
+	cfg.ReadWays = cmp.Or(cfg.ReadWays, def.ReadWays)
+	cfg.MaxConcurrent = cmp.Or(cfg.MaxConcurrent, def.MaxConcurrent)
 	if cfg.MaxConcurrent <= 0 {
 		panic("htm: MaxConcurrent must be positive")
 	}
