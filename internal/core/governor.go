@@ -214,7 +214,7 @@ func (r *TxRace) governorRecord(t *sim.Thread, c *threadCtx, abort bool) {
 	}
 	// Run-wide tripwire: every live worker degraded at once means the fast
 	// path is pathological machine-wide, not just for one thread.
-	if live := r.eng.LiveWorkers(); live >= 2 && r.govDegraded >= live {
+	if live := r.slow.eng.LiveWorkers(); live >= 2 && r.govDegraded >= live {
 		r.govGlobalLeft = g.GlobalRegions
 		r.stats.GovernorGlobal++
 		if o := r.obs; o != nil {

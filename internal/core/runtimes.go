@@ -121,12 +121,9 @@ func (r *TSan) Access(t *sim.Thread, m *sim.MemAccess, addr memmodel.Addr) {
 		r.eng.ChargeAs(t, r.eng.Config().Cost.SampleGate, obs.PhaseSample)
 		return
 	}
-	r.eng.ChargeAs(t, r.hookCost(), obs.PhaseSlow)
+	r.eng.ChargeAs(t, accessHookCost(r.eng, r.SlowScale), obs.PhaseSlow)
 	r.det.Access(clock.TID(t.ID), addr, m.Write, m.Site)
 }
-
-// hookCost is the cycles one analyzed access pays on this runtime.
-func (r *TSan) hookCost() int64 { return accessHookCost(r.eng, r.SlowScale) }
 
 // accessHookCost is the per-access detector hook cost every software
 // runtime pays: the engine's SlowAccessHook scaled by the runtime's

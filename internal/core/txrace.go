@@ -136,11 +136,13 @@ type threadCtx struct {
 // TxRace is the two-phase runtime. Create with NewTxRace and pass to
 // sim.Engine.Run with a program instrumented by instrument.ForTxRace.
 type TxRace struct {
-	// TSan is the slow path (§5): its detector takes every slow-path
+	sim.NopRuntime
+
+	// slow is the slow path (§5): its detector takes every slow-path
 	// access, it tracks thread lifetimes (Fork, Joined, JoinedAll), and its
 	// Finish folds the detector's stats. TxRace keeps its own sync, atomic
 	// and access hooks, which gate on the thread's mode.
-	*TSan
+	slow *TSan
 
 	opts Options
 	hw   *htm.HTM
@@ -193,7 +195,7 @@ func NewTxRace(opts Options) *TxRace {
 	slow := NewTSanWith(opts.Detect)
 	slow.SlowScale = opts.SlowScale
 	r := &TxRace{
-		TSan:       slow,
+		slow:       slow,
 		opts:       opts,
 		hw:         htm.New(opts.HTM),
 		txFail:     txFailBase,
@@ -204,6 +206,18 @@ func NewTxRace(opts Options) *TxRace {
 	r.stats.SlowRegions = make(map[Cause]uint64)
 	return r
 }
+
+// Detector exposes the slow path's detector.
+func (r *TxRace) Detector() *detect.Detector { return r.slow.det }
+
+// Fork implements sim.Runtime.
+func (r *TxRace) Fork(p, c *sim.Thread) { r.slow.Fork(p, c) }
+
+// Joined implements sim.Runtime.
+func (r *TxRace) Joined(p, c *sim.Thread) { r.slow.Joined(p, c) }
+
+// JoinedAll implements sim.BatchJoiner.
+func (r *TxRace) JoinedAll(p *sim.Thread, cs []*sim.Thread) { r.slow.JoinedAll(p, cs) }
 
 // Stats returns the runtime statistics collected so far.
 func (r *TxRace) Stats() Stats { return r.stats }
@@ -219,7 +233,7 @@ func (r *TxRace) Thresholds() LoopThresholds { return r.thresholds }
 // Init implements sim.Runtime. It sizes the per-loop and per-thread state
 // from the program once, so the hooks never grow a table.
 func (r *TxRace) Init(e *sim.Engine) {
-	r.TSan.Init(e)
+	r.slow.Init(e)
 	p := e.Program()
 	r.initLoops(p)
 	if r.opts.LoopCut == ProfCut {
@@ -290,12 +304,12 @@ func (r *TxRace) loopSlot(id sim.LoopID) (int, bool) {
 
 // multithreaded reports whether HTM monitoring is worthwhile: at least two
 // worker threads are live (§4.3, optimization 1).
-func (r *TxRace) multithreaded() bool { return r.eng.LiveWorkers() >= 2 }
+func (r *TxRace) multithreaded() bool { return r.slow.eng.LiveWorkers() >= 2 }
 
 // chargeFast charges c cycles to t and attributes them to pure fast-path
 // overhead (the black "xbegin/xend" bar of Fig. 7).
 func (r *TxRace) chargeFast(t *sim.Thread, c int64) {
-	r.eng.ChargeAs(t, c, obs.PhaseFast)
+	r.slow.eng.ChargeAs(t, c, obs.PhaseFast)
 	r.stats.CyclesFastPath += c
 }
 
@@ -305,8 +319,8 @@ func (r *TxRace) SyncAcquire(t *sim.Thread, s sim.SyncID, kind sim.SyncKind) {
 	if c.mode == ModeNone && !r.multithreaded() {
 		return
 	}
-	r.chargeFast(t, r.eng.Config().Cost.FastSyncHook)
-	detect.AcquireKind(r.det, clock.TID(t.ID), detect.SyncID(s), kind)
+	r.chargeFast(t, r.slow.eng.Config().Cost.FastSyncHook)
+	detect.AcquireKind(r.slow.det, clock.TID(t.ID), detect.SyncID(s), kind)
 }
 
 // SyncRelease tracks the happens-before edge on both paths (§5, Fig. 6).
@@ -315,8 +329,8 @@ func (r *TxRace) SyncRelease(t *sim.Thread, s sim.SyncID, kind sim.SyncKind) {
 	if c.mode == ModeNone && !r.multithreaded() {
 		return
 	}
-	r.chargeFast(t, r.eng.Config().Cost.FastSyncHook)
-	detect.ReleaseKind(r.det, clock.TID(t.ID), detect.SyncID(s), kind)
+	r.chargeFast(t, r.slow.eng.Config().Cost.FastSyncHook)
+	detect.ReleaseKind(r.slow.det, clock.TID(t.ID), detect.SyncID(s), kind)
 }
 
 // TxBeginMark opens a region: a hardware transaction on the fast path, a
@@ -368,12 +382,12 @@ func (r *TxRace) beginTxn(t *sim.Thread, c *threadCtx) {
 		return
 	}
 	t.Phase = obs.PhaseFast
-	r.chargeFast(t, r.eng.Config().Cost.XBegin)
+	r.chargeFast(t, r.slow.eng.Config().Cost.XBegin)
 	if o := r.obs; o != nil {
 		o.TxBegin(t.ID, t.Clock)
 	}
 	c.mode = ModeFast
-	r.eng.Checkpoint(t, &c.snap)
+	r.slow.eng.Checkpoint(t, &c.snap)
 	c.genAtBegin = r.txFailGen
 	c.clockAtBegin = t.Clock
 	c.hasLastLoop = false
@@ -413,11 +427,11 @@ func (r *TxRace) Atomic(t *sim.Thread, m *sim.AtomicRMW, addr memmodel.Addr) {
 	if c.mode == ModeNone && !r.multithreaded() {
 		return
 	}
-	r.chargeFast(t, r.eng.Config().Cost.FastSyncHook)
+	r.chargeFast(t, r.slow.eng.Config().Cost.FastSyncHook)
 	// The atomic still participates in HTM conflict detection (coherence
 	// traffic) like any access.
 	r.hw.Access(t.ID, addr, true)
-	detect.AtomicOp(r.det, clock.TID(t.ID), addr, m.Site)
+	detect.AtomicOp(r.slow.det, clock.TID(t.ID), addr, m.Site)
 }
 
 // Access handles one memory access according to the thread's mode. All
@@ -442,10 +456,10 @@ func (r *TxRace) Access(t *sim.Thread, m *sim.MemAccess, addr memmodel.Addr) {
 			return
 		}
 		if m.Hooked {
-			hc := r.hookCost()
-			r.eng.Charge(t, hc)
+			hc := accessHookCost(r.slow.eng, r.slow.SlowScale)
+			r.slow.eng.Charge(t, hc)
 			r.attributeSlow(c, hc)
-			r.det.Access(clock.TID(t.ID), addr, m.Write, m.Site)
+			r.slow.det.Access(clock.TID(t.ID), addr, m.Write, m.Site)
 		}
 	}
 }
@@ -544,9 +558,9 @@ func (r *TxRace) classifyAbort(t *sim.Thread, c *threadCtx, st htm.Status) obs.A
 
 // handleAbort implements the §4.2 policy table.
 func (r *TxRace) handleAbort(t *sim.Thread, c *threadCtx, st htm.Status) {
-	cost := r.eng.Config().Cost
+	cost := r.slow.eng.Config().Cost
 	attempt := t.Clock - c.clockAtBegin
-	r.eng.ChargeAs(t, cost.AbortPenalty, obs.PhaseAbort)
+	r.slow.eng.ChargeAs(t, cost.AbortPenalty, obs.PhaseAbort)
 	wasted := t.Clock - c.clockAtBegin
 
 	var ac obs.AbortCause
@@ -584,7 +598,7 @@ func (r *TxRace) handleAbort(t *sim.Thread, c *threadCtx, st htm.Status) {
 			// concurrent in-flight transactions (§3 steps 3–4).
 			r.txFailGen++
 			r.episodeLine, r.hasEpisodeLine = c.targetLine, c.hasTarget
-			r.eng.ChargeAs(t, cost.TxFailWrite, obs.PhaseAbort)
+			r.slow.eng.ChargeAs(t, cost.TxFailWrite, obs.PhaseAbort)
 			r.hw.Access(t.ID, r.txFail, true)
 			if o := r.obs; o != nil {
 				if r.episodeOpen {
@@ -641,7 +655,7 @@ func (r *TxRace) handleAbort(t *sim.Thread, c *threadCtx, st htm.Status) {
 	c.attribCause = ac
 	t.Phase = obs.PhaseSlow
 	r.stats.SlowRegions[cause]++
-	r.eng.Restore(t, &c.snap)
+	r.slow.eng.Restore(t, &c.snap)
 	c.slowStart = t.Clock
 	// The wasted attempt is part of this cause's overhead.
 	r.addCauseCycles(cause, wasted+cost.AbortPenalty)
@@ -663,13 +677,13 @@ func (r *TxRace) retryFast(t *sim.Thread, c *threadCtx, attempt int, wasted int6
 	// the begin re-executes).
 	t.Phase = obs.PhaseAbort
 	if g := &r.opts.Governor; g.Enabled {
-		r.eng.ChargeAs(t, g.backoffCost(attempt), obs.PhaseAbort)
+		r.slow.eng.ChargeAs(t, g.backoffCost(attempt), obs.PhaseAbort)
 	}
 	if o := r.obs; o != nil {
 		o.TxRetry(t.ID, t.Clock, attempt)
 	}
 	c.mode = ModeIdle
-	r.eng.Restore(t, &c.snap) // re-executes TxBegin → new transaction
+	r.slow.eng.Restore(t, &c.snap) // re-executes TxBegin → new transaction
 }
 
 func (r *TxRace) addCauseCycles(cause Cause, cycles int64) {
@@ -736,7 +750,7 @@ func (r *TxRace) LoopCheckMark(t *sim.Thread, m *sim.LoopCheck) {
 	// Cut: end the transaction here and start a new one, moving the
 	// rollback point to this loop iteration.
 	st, ok := r.hw.Commit(t.ID)
-	r.chargeFast(t, r.eng.Config().Cost.XEnd)
+	r.chargeFast(t, r.slow.eng.Config().Cost.XEnd)
 	if !ok {
 		r.handleAbort(t, c, st)
 		return
@@ -794,7 +808,7 @@ func (r *TxRace) TxEndMark(t *sim.Thread, m *sim.TxEnd) {
 		t.Phase = obs.PhaseApp
 		return
 	case ModeFast:
-		cost := r.eng.Config().Cost
+		cost := r.slow.eng.Config().Cost
 		st, ok := r.hw.Commit(t.ID)
 		r.chargeFast(t, cost.XEnd)
 		if !ok {
@@ -838,7 +852,7 @@ func (r *TxRace) FaultStats() fault.Stats { return r.opts.Fault.Stats() }
 // conflict directory's counters, and the fault injector's per-kind counts
 // into the metrics registry.
 func (r *TxRace) Finish(e *sim.Engine) {
-	r.TSan.Finish(e)
+	r.slow.Finish(e)
 	d := r.hw.BackendStats()
 	e.Config().Obs.HTMDirStats(d.Lines, d.Checks, d.Fastpath)
 	e.Config().Obs.HTMBackendStats(r.hw.Backend(), d.TagRecycled, d.TagFalse, d.Overflows)
